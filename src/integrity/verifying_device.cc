@@ -59,12 +59,16 @@ VerifyingDevice::writeRange(std::uint64_t bno, std::uint64_t count,
     inner.writeRange(bno, count, data);
 
     // Checksums come from the *source* buffer — the writer's intent —
-    // so a corrupted landing is detectable later.
+    // so a corrupted landing is detectable later.  Without
+    // verification nothing ever consults the map: record nothing.
     const std::uint32_t bs = blockSize();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        map.record(bno + i, data.subspan(
-                                static_cast<std::size_t>(i) * bs, bs));
-        poisoned.erase(bno + i); // fresh data clears any poison
+    if (cfg.verifyReads) {
+        for (std::uint64_t i = 0; i < count; ++i) {
+            map.record(bno + i,
+                       data.subspan(static_cast<std::size_t>(i) * bs,
+                                    bs));
+            poisoned.erase(bno + i); // fresh data clears any poison
+        }
     }
     if (_armedWriteFlips > 0)
         applyArmedWriteFlip(bno, count);

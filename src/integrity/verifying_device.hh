@@ -3,8 +3,9 @@
  * Verify-on-read block device with read-repair.
  *
  * Sits between the file system's device chain and the functional RAID
- * array: every write records a per-block checksum (ChecksumMap), every
- * read is verified against it, and a mismatch runs the repair ladder —
+ * array.  With Config::verifyReads (the default) every write records a
+ * per-block checksum (ChecksumMap), every read is verified against it,
+ * and a mismatch runs the repair ladder —
  *
  *   1. re-read the inner device (clears one-shot transfer corruption:
  *      the media copy was never wrong, only the bytes in flight);
@@ -45,9 +46,11 @@ class VerifyingDevice : public fs::BlockDevice
   public:
     struct Config
     {
-        /** Verify every read against the checksum map.  Off = detection
-         *  disabled (the mutation self-test mode: corruption flows
-         *  through untouched, and the test harness must notice). */
+        /** Record a checksum on every write and verify every read
+         *  against it.  Off = a passthrough that records nothing and
+         *  detects nothing (the mutation self-test mode: corruption
+         *  flows through untouched, and the test harness must
+         *  notice). */
         bool verifyReads = true;
     };
 

@@ -1,6 +1,7 @@
 #include "raid/raid_array.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 
 #include "raid/parity.hh"
@@ -11,13 +12,20 @@ namespace raid2::raid {
 
 RaidArray::RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes)
     : _layout(cfg, disk_bytes), diskBytes(disk_bytes),
-      disks(cfg.numDisks, std::vector<std::uint8_t>(disk_bytes, 0)),
+      // calloc, not a zero-filled vector: a large block comes straight
+      // from the kernel's zero pages, so the array costs memory only
+      // for the disk regions actually written.
+      store(static_cast<std::uint8_t *>(
+          std::calloc(cfg.numDisks, static_cast<std::size_t>(stride())))),
       failed(cfg.numDisks, false), latents(cfg.numDisks)
 {
     if (cfg.numDisks > kMaxFoldSources)
         sim::fatal("RaidArray: %u disks exceeds the %zu-way parity "
                    "fold limit",
                    cfg.numDisks, kMaxFoldSources);
+    if (!store)
+        sim::fatal("RaidArray: cannot allocate %u x %llu bytes",
+                   cfg.numDisks, (unsigned long long)disk_bytes);
 }
 
 /** Mirror partner of @p d, valid for either half of the array. */
@@ -40,13 +48,17 @@ RaidArray::failedCount() const
 std::span<const std::uint8_t>
 RaidArray::diskData(unsigned d) const
 {
-    return {disks.at(d).data(), disks.at(d).size()};
+    if (d >= numDisks())
+        sim::panic("diskData: bad disk %u", d);
+    return {disk(d), static_cast<std::size_t>(diskBytes)};
 }
 
 std::span<std::uint8_t>
 RaidArray::diskData(unsigned d)
 {
-    return {disks.at(d).data(), disks.at(d).size()};
+    if (d >= numDisks())
+        sim::panic("diskData: bad disk %u", d);
+    return {disk(d), static_cast<std::size_t>(diskBytes)};
 }
 
 void
@@ -58,8 +70,8 @@ RaidArray::recomputeParity(std::uint64_t stripe)
     const unsigned K = _layout.dataUnitsPerStripe();
     const std::uint8_t *srcs[kMaxFoldSources];
     for (unsigned k = 0; k < K; ++k)
-        srcs[k] = disks[_layout.dataDisk(stripe, k)].data() + base;
-    xorFold(disks[pd].data() + base, srcs, K,
+        srcs[k] = disk(_layout.dataDisk(stripe, k)) + base;
+    xorFold(disk(pd) + base, srcs, K,
             static_cast<std::size_t>(unit));
     _parityRecomputes.inc();
 }
@@ -103,13 +115,13 @@ RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
              _layout.mapRange(off, data.size(), false)) {
             const std::uint8_t *src =
                 data.data() + (e.logicalOffset - off);
-            std::memcpy(disks[e.disk].data() + e.diskOffset, src,
+            std::memcpy(disk(e.disk) + e.diskOffset, src,
                         static_cast<std::size_t>(e.bytes));
             // Overwriting a latent sector rewrites (remaps) it.
             eraseLatentRange(e.disk, e.diskOffset, e.bytes);
             if (level == RaidLevel::Raid1) {
                 const unsigned m = _layout.mirrorDisk(e.disk);
-                std::memcpy(disks[m].data() + e.diskOffset, src,
+                std::memcpy(disk(m) + e.diskOffset, src,
                             static_cast<std::size_t>(e.bytes));
                 eraseLatentRange(m, e.diskOffset, e.bytes);
             }
@@ -142,12 +154,12 @@ RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
             for (unsigned k = 0; k < K; ++k) {
                 const unsigned d = _layout.dataDisk(s, k);
                 srcs[k] = src + k * unit;
-                std::memcpy(disks[d].data() + base, srcs[k],
+                std::memcpy(disk(d) + base, srcs[k],
                             static_cast<std::size_t>(unit));
                 eraseLatentRange(d, base, unit);
             }
             const unsigned pd = _layout.parityDisk(s);
-            xorFold(disks[pd].data() + base, srcs, K,
+            xorFold(disk(pd) + base, srcs, K,
                     static_cast<std::size_t>(unit));
             eraseLatentRange(pd, base, unit);
             _parityRecomputes.inc();
@@ -160,7 +172,7 @@ RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
                 _layout, pos, take,
                 [&](std::uint64_t, unsigned d, std::uint64_t doff,
                     std::uint64_t lpos, std::uint64_t n) {
-                    std::memcpy(disks[d].data() + doff,
+                    std::memcpy(disk(d) + doff,
                                 data.data() + (lpos - off),
                                 static_cast<std::size_t>(n));
                 });
@@ -187,7 +199,7 @@ RaidArray::prepareStripeForUpdate(std::uint64_t s)
             // partial-stripe write would fold the destroyed buffer
             // into parity and lose the untouched region of the unit.
             reconstructRange(d, base,
-                             {disks[d].data() + base,
+                             {disk(d) + base,
                               static_cast<std::size_t>(unit)});
         } else {
             repairLatentIn(d, base, unit);
@@ -204,7 +216,7 @@ RaidArray::reconstructRange(unsigned dead, std::uint64_t disk_off,
     // others (one pass over out instead of numDisks-1).
     const std::uint8_t *srcs[kMaxFoldSources];
     std::size_t k = 0;
-    for (unsigned d = 0; d < disks.size(); ++d) {
+    for (unsigned d = 0; d < numDisks(); ++d) {
         if (d == dead)
             continue;
         if (failed[d])
@@ -214,7 +226,7 @@ RaidArray::reconstructRange(unsigned dead, std::uint64_t disk_off,
             sim::fatal("RaidArray: range [%llu, +%zu) of disk %u is "
                        "unrecoverable: survivor %u has a latent error there",
                        (unsigned long long)disk_off, out.size(), dead, d);
-        srcs[k++] = disks[d].data() + disk_off;
+        srcs[k++] = disk(d) + disk_off;
     }
     xorFold(out.data(), srcs, k, out.size());
 }
@@ -225,7 +237,7 @@ RaidArray::tryReconstructRange(unsigned dead, std::uint64_t disk_off,
 {
     if (out.empty())
         return true;
-    if (dead >= disks.size() || disk_off + out.size() > diskBytes)
+    if (dead >= numDisks() || disk_off + out.size() > diskBytes)
         return false;
     const RaidLevel level = _layout.level();
     if (level == RaidLevel::Raid0)
@@ -235,7 +247,7 @@ RaidArray::tryReconstructRange(unsigned dead, std::uint64_t disk_off,
         const unsigned m = mirrorPartnerOf(_layout, dead);
         if (failed[m] || latentOverlaps(m, disk_off, out.size()))
             return false;
-        std::memcpy(out.data(), disks[m].data() + disk_off, out.size());
+        std::memcpy(out.data(), disk(m) + disk_off, out.size());
         return true;
     }
 
@@ -246,12 +258,12 @@ RaidArray::tryReconstructRange(unsigned dead, std::uint64_t disk_off,
     // survivor latent range means the fold would produce garbage.
     const std::uint8_t *srcs[kMaxFoldSources];
     std::size_t k = 0;
-    for (unsigned d = 0; d < disks.size(); ++d) {
+    for (unsigned d = 0; d < numDisks(); ++d) {
         if (d == dead)
             continue;
         if (failed[d] || latentOverlaps(d, disk_off, out.size()))
             return false;
-        srcs[k++] = disks[d].data() + disk_off;
+        srcs[k++] = disk(d) + disk_off;
     }
     xorFold(out.data(), srcs, k, out.size());
     return true;
@@ -261,7 +273,7 @@ void
 RaidArray::patchDiskRange(unsigned d, std::uint64_t off,
                           std::span<const std::uint8_t> data)
 {
-    if (d >= disks.size())
+    if (d >= numDisks())
         sim::panic("patchDiskRange: bad disk %u", d);
     if (off + data.size() > diskBytes)
         sim::panic("patchDiskRange: range [%llu, +%zu) beyond disk",
@@ -270,7 +282,7 @@ RaidArray::patchDiskRange(unsigned d, std::uint64_t off,
         sim::panic("patchDiskRange: disk %u is failed", d);
     if (data.empty())
         return;
-    std::memcpy(disks[d].data() + off, data.data(), data.size());
+    std::memcpy(disk(d) + off, data.data(), data.size());
     eraseLatentRange(d, off, data.size());
 }
 
@@ -280,7 +292,7 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
 {
     if (len == 0 || _layout.level() == RaidLevel::Raid0)
         return true;
-    if (d >= disks.size() || failedCount() > 0)
+    if (d >= numDisks() || failedCount() > 0)
         return false;
     const std::uint64_t end = std::min(off + len, diskBytes);
     if (off >= end)
@@ -295,7 +307,7 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
         // Heal known-garbled primary bytes from the mirror first, or
         // the copy below would launder them into the good side.
         repairLatentIn(p, off, end - off);
-        std::memcpy(disks[m].data() + off, disks[p].data() + off,
+        std::memcpy(disk(m) + off, disk(p) + off,
                     static_cast<std::size_t>(end - off));
         eraseLatentRange(m, off, end - off);
         return true;
@@ -343,7 +355,7 @@ RaidArray::readDiskRange(unsigned d, std::uint64_t off,
                 if (failed[m] || latentOverlaps(m, pos, n))
                     sim::fatal("RaidArray: latent range on disk %u "
                                "unrecoverable (mirror %u unusable)", d, m);
-                std::memcpy(sub.data(), disks[m].data() + pos, n);
+                std::memcpy(sub.data(), disk(m) + pos, n);
             } else if (level == RaidLevel::Raid0) {
                 sim::fatal("RaidArray: RAID-0 cannot recover latent range "
                            "on disk %u", d);
@@ -358,7 +370,7 @@ RaidArray::readDiskRange(unsigned d, std::uint64_t off,
         std::uint64_t clean_until = end;
         if (it != lm.end() && it->first < end)
             clean_until = it->first;
-        std::memcpy(out.data() + (pos - off), disks[d].data() + pos,
+        std::memcpy(out.data() + (pos - off), disk(d) + pos,
                     static_cast<std::size_t>(clean_until - pos));
         pos = clean_until;
     }
@@ -417,10 +429,10 @@ RaidArray::read(std::uint64_t off, std::span<std::uint8_t> out) const
 void
 RaidArray::failDisk(unsigned d)
 {
-    if (d >= disks.size())
+    if (d >= numDisks())
         sim::panic("failDisk: bad disk %u", d);
     failed[d] = true;
-    std::fill(disks[d].begin(), disks[d].end(), 0xde);
+    std::memset(disk(d), 0xde, static_cast<std::size_t>(diskBytes));
     // The whole disk is gone; its latent defects go with it.
     latents[d].clear();
 }
@@ -428,7 +440,7 @@ RaidArray::failDisk(unsigned d)
 void
 RaidArray::injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
 {
-    if (d >= disks.size())
+    if (d >= numDisks())
         sim::panic("injectLatent: bad disk %u", d);
     if (off + bytes > diskBytes)
         sim::panic("injectLatent: range [%llu, +%llu) beyond disk",
@@ -441,7 +453,7 @@ RaidArray::injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
     // still encodes the original bytes; only this copy is damaged.
     for (std::uint64_t i = 0; i < bytes; ++i) {
         const std::uint64_t p = off + i;
-        disks[d][p] = static_cast<std::uint8_t>(0xb5 ^ p ^ (p >> 8));
+        disk(d)[p] = static_cast<std::uint8_t>(0xb5 ^ p ^ (p >> 8));
     }
 
     // Merge into the interval map.
@@ -484,7 +496,7 @@ bool
 RaidArray::latentCollision(unsigned d, std::uint64_t off,
                            std::uint64_t bytes) const
 {
-    for (unsigned o = 0; o < disks.size(); ++o) {
+    for (unsigned o = 0; o < numDisks(); ++o) {
         if (o != d && latentOverlaps(o, off, bytes))
             return true;
     }
@@ -494,7 +506,7 @@ RaidArray::latentCollision(unsigned d, std::uint64_t off,
 void
 RaidArray::repairLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
 {
-    if (d >= disks.size())
+    if (d >= numDisks())
         sim::panic("repairLatent: bad disk %u", d);
     if (bytes == 0)
         return;
@@ -508,13 +520,13 @@ RaidArray::repairLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
         if (failed[m] || latentOverlaps(m, off, bytes))
             sim::fatal("repairLatent: latent range on disk %u "
                        "unrecoverable (mirror %u unusable)", d, m);
-        std::memcpy(buf.data(), disks[m].data() + off, buf.size());
+        std::memcpy(buf.data(), disk(m) + off, buf.size());
     } else if (level == RaidLevel::Raid0) {
         sim::fatal("repairLatent: RAID-0 has no redundancy");
     } else {
         reconstructRange(d, off, {buf.data(), buf.size()});
     }
-    std::memcpy(disks[d].data() + off, buf.data(), buf.size());
+    std::memcpy(disk(d) + off, buf.data(), buf.size());
     eraseLatentRange(d, off, bytes);
     ++_latentRepairs;
 }
@@ -565,7 +577,7 @@ std::uint64_t
 RaidArray::scrub()
 {
     std::uint64_t repaired = 0;
-    for (unsigned d = 0; d < disks.size(); ++d) {
+    for (unsigned d = 0; d < numDisks(); ++d) {
         if (failed[d])
             continue;
         const auto todo = latents[d]; // copy: repairLatent mutates
@@ -599,7 +611,7 @@ RaidArray::latentBytes() const
 void
 RaidArray::rebuildDisk(unsigned d)
 {
-    if (d >= disks.size())
+    if (d >= numDisks())
         sim::panic("rebuildDisk: bad disk %u", d);
     if (!failed[d])
         return;
@@ -613,7 +625,8 @@ RaidArray::rebuildDisk(unsigned d)
         if (failed[partner])
             sim::fatal("rebuildDisk: mirror partner %u also failed",
                        partner);
-        disks[d] = disks[partner];
+        std::memcpy(disk(d), disk(partner),
+                    static_cast<std::size_t>(diskBytes));
         return;
     }
     if (level == RaidLevel::Raid0)
@@ -623,8 +636,8 @@ RaidArray::rebuildDisk(unsigned d)
     // parity-covered region.
     const std::uint64_t covered =
         _layout.numStripes() * _layout.unitBytes();
-    std::fill(disks[d].begin(), disks[d].end(), 0);
-    reconstructRange(d, 0, {disks[d].data(),
+    std::memset(disk(d), 0, static_cast<std::size_t>(diskBytes));
+    reconstructRange(d, 0, {disk(d),
                             static_cast<std::size_t>(covered)});
 }
 
@@ -640,7 +653,8 @@ RaidArray::redundancyConsistent() const
     if (level == RaidLevel::Raid1) {
         const unsigned half = _layout.numDisks() / 2;
         for (unsigned d = 0; d < half; ++d) {
-            if (disks[d] != disks[_layout.mirrorDisk(d)])
+            if (std::memcmp(disk(d), disk(_layout.mirrorDisk(d)),
+                            static_cast<std::size_t>(diskBytes)) != 0)
                 return false;
         }
         return true;
@@ -656,9 +670,9 @@ RaidArray::redundancyConsistent() const
     for (std::uint64_t base = 0; base < covered; base += acc.size()) {
         const std::size_t n = static_cast<std::size_t>(
             std::min<std::uint64_t>(acc.size(), covered - base));
-        for (unsigned d = 0; d < disks.size(); ++d)
-            srcs[d] = disks[d].data() + base;
-        xorFold(acc.data(), srcs, disks.size(), n);
+        for (unsigned d = 0; d < numDisks(); ++d)
+            srcs[d] = disk(d) + base;
+        xorFold(acc.data(), srcs, numDisks(), n);
         if (!allZero({acc.data(), n}))
             return false;
     }

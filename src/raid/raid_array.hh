@@ -13,7 +13,9 @@
 #define RAID2_RAID_RAID_ARRAY_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -172,9 +174,26 @@ class RaidArray
     void eraseLatentRange(unsigned d, std::uint64_t off,
                           std::uint64_t bytes);
 
+    /** Bytes from one disk's start to the next in the store: the disk
+     *  plus a page and a cache line, so the parity fold's sources (the
+     *  same offset on every disk) do not all land in one cache set, as
+     *  they do at a stride that is a multiple of 64 KB. */
+    std::uint64_t stride() const { return diskBytes + 4096 + 64; }
+    std::uint8_t *disk(unsigned d) { return store.get() + d * stride(); }
+    const std::uint8_t *disk(unsigned d) const
+    {
+        return store.get() + d * stride();
+    }
+
+    struct FreeDeleter
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
     RaidLayout _layout;
     std::uint64_t diskBytes;
-    std::vector<std::vector<std::uint8_t>> disks;
+    /** Every member disk in one block: disk d at d * stride(). */
+    std::unique_ptr<std::uint8_t[], FreeDeleter> store;
     std::vector<bool> failed;
     /** Per-disk latent ranges: start offset -> length, non-overlapping. */
     std::vector<std::map<std::uint64_t, std::uint64_t>> latents;

@@ -24,11 +24,12 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
     fsCpu = std::make_unique<sim::Service>(
         eq, _name + ".fscpu", sim::Service::Config{0.0, 0, 1});
 
-    if (cfg.withFs && cfg.withIntegrity) {
+    if (cfg.withFs) {
         // Functional RAID twin sized so its data capacity covers the
         // file-system device (whole stripes; geometry shared with the
         // timed array, whose layout carries the disk count the
-        // topology resolved).
+        // topology resolved).  Disks are sized in the layout's own
+        // unit: RAID-3 interleaves sectors, not stripeUnitBytes.
         raid::LayoutConfig lcfg = cfg.layout;
         lcfg.numDisks = _array->layout().numDisks();
         const raid::RaidLayout probe(lcfg, lcfg.stripeUnitBytes);
@@ -36,7 +37,7 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
         const std::uint64_t stripes =
             (cfg.fsDeviceBytes + sdb - 1) / sdb;
         _functional = std::make_unique<raid::RaidArray>(
-            lcfg, stripes * lcfg.stripeUnitBytes);
+            lcfg, stripes * probe.unitBytes());
     }
 
     if (cfg.withReliability) {
@@ -62,23 +63,15 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
             cfg.fsParams.alignSegmentsTo =
                 _array->layout().stripeDataBytes();
         }
-        fs::BlockDevice *base = nullptr;
-        if (cfg.withIntegrity) {
-            // Clamp to fsDeviceBytes: the twin is stripe-rounded, but
-            // the file system must see the same geometry either way.
-            arrayDev = std::make_unique<fs::ArrayBlockDevice>(
-                *_functional, cfg.fsParams.blockSize,
-                cfg.fsDeviceBytes / cfg.fsParams.blockSize);
-            verifyDev = std::make_unique<integrity::VerifyingDevice>(
-                *arrayDev, _functional.get(), cfg.integrityCfg);
-            base = verifyDev.get();
-        } else {
-            fsDev = std::make_unique<fs::MemBlockDevice>(
-                cfg.fsParams.blockSize,
-                cfg.fsDeviceBytes / cfg.fsParams.blockSize);
-            base = fsDev.get();
-        }
-        hookDev = std::make_unique<fs::HookBlockDevice>(*base);
+        // Clamp to fsDeviceBytes: the twin is stripe-rounded, but the
+        // file system sees exactly the configured geometry.
+        arrayDev = std::make_unique<fs::ArrayBlockDevice>(
+            *_functional, cfg.fsParams.blockSize,
+            cfg.fsDeviceBytes / cfg.fsParams.blockSize);
+        verifyDev = std::make_unique<integrity::VerifyingDevice>(
+            *arrayDev, _functional.get(),
+            integrity::VerifyingDevice::Config{cfg.withIntegrity});
+        hookDev = std::make_unique<fs::HookBlockDevice>(*verifyDev);
         hookDev->setHook(
             [this](std::uint64_t off, std::uint64_t len, bool is_write) {
                 if (is_write)
@@ -91,7 +84,7 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
         pendingWrites.clear();
     }
 
-    if (verifyDev && _scrubber) {
+    if (cfg.withIntegrity && verifyDev && _scrubber) {
         _scrubber->setVerifyHook(
             [this](unsigned d, std::uint64_t off, std::uint64_t len) {
                 scrubVerifyChunk(d, off, len);
@@ -108,8 +101,8 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
                 break;
             default:
                 // HIPPI payload flip: the link FCS catches it, so the
-                // next checked fast-path read pays a retransmit —
-                // a timing cost, never bad bytes.
+                // next fast-path read pays a retransmit — a timing
+                // cost, never bad bytes.
                 ++_netFlipsArmed;
                 break;
             }
@@ -149,12 +142,7 @@ Raid2Server::fsHookDevice()
 fs::BlockDevice &
 Raid2Server::rawFsDevice()
 {
-    if (verifyDev)
-        return *verifyDev;
-    if (!fsDev)
-        sim::fatal("Raid2Server %s: configured without a file system",
-                   _name.c_str());
-    return *fsDev;
+    return integrity();
 }
 
 void
@@ -164,7 +152,7 @@ Raid2Server::remountFs()
         sim::fatal("Raid2Server %s: configured without a file system",
                    _name.c_str());
     _fs.reset();
-    if (verifyDev) {
+    if (cfg.withIntegrity) {
         // A remount models a restart: the in-memory expectations are
         // gone, so re-seed them from the checksums persisted in the
         // segment summaries (reads go to the inner device — the map
@@ -225,7 +213,7 @@ integrity::VerifyingDevice &
 Raid2Server::integrity()
 {
     if (!verifyDev)
-        sim::fatal("Raid2Server %s: configured without integrity",
+        sim::fatal("Raid2Server %s: configured without a file system",
                    _name.c_str());
     return *verifyDev;
 }
@@ -234,7 +222,7 @@ raid::RaidArray &
 Raid2Server::functionalArray()
 {
     if (!_functional)
-        sim::fatal("Raid2Server %s: configured without integrity",
+        sim::fatal("Raid2Server %s: configured without a file system",
                    _name.c_str());
     return *_functional;
 }
@@ -351,7 +339,7 @@ Raid2Server::registerStats(sim::StatsRegistry &reg) const
         _recovery->registerStats(reg, "recovery");
         _scrubber->registerStats(reg, "scrub");
     }
-    if (verifyDev) {
+    if (cfg.withIntegrity && verifyDev) {
         verifyDev->registerStats(reg, "integrity");
         _functional->registerStats(reg, "integrity.array");
         reg.addGauge("integrity.corrupt_reads", [this] {
@@ -460,9 +448,51 @@ Raid2Server::fileWriteData(lfs::InodeNum ino, std::uint64_t off,
     });
 }
 
+std::vector<Range>
+Raid2Server::mapRanges(lfs::InodeNum ino, std::uint64_t off,
+                       std::uint64_t len)
+{
+    std::vector<Range> ranges;
+    for (const lfs::FileExtent &e : fs().mapFile(ino, off, len)) {
+        if (e.hole)
+            continue;
+        ranges.push_back(Range{e.deviceOffset, e.bytes});
+    }
+    return ranges;
+}
+
+bool
+Raid2Server::verifyRanges(const std::vector<Range> &ranges,
+                          std::uint64_t len)
+{
+    if (!cfg.withIntegrity)
+        return true;
+    bool ok = true;
+    const std::uint32_t bs = verifyDev->blockSize();
+    for (const Range &r : ranges) {
+        const std::uint64_t b0 = r.off / bs;
+        const std::uint64_t b1 = std::min((r.off + r.len + bs - 1) / bs,
+                                          verifyDev->numBlocks());
+        if (b0 >= b1)
+            continue;
+        _verifyScratch.resize((b1 - b0) * bs);
+        if (!verifyDev->verifiedReadRange(
+                b0, b1 - b0,
+                {_verifyScratch.data(), _verifyScratch.size()}))
+            ok = false;
+    }
+    if (!ok) {
+        ++_corruptReads;
+        if (auto *t = eq.tracer())
+            t->complete(_name, "data_corrupt_read", eq.now(), eq.now(),
+                        len);
+    }
+    return ok;
+}
+
 void
 Raid2Server::fileRead(lfs::InodeNum ino, std::uint64_t off,
-                      std::uint64_t len, std::function<void()> done,
+                      std::uint64_t len, std::function<void(bool)> done,
                       std::vector<sim::Stage> extra_out,
                       sim::Tick out_setup)
 {
@@ -472,73 +502,10 @@ Raid2Server::fileRead(lfs::InodeNum ino, std::uint64_t off,
                                                out_setup,
                                                done = std::move(done)]()
                                                   mutable {
-        std::vector<Range> ranges;
-        for (const lfs::FileExtent &e : fs().mapFile(ino, off, len)) {
-            if (e.hole)
-                continue;
-            ranges.push_back(Range{e.deviceOffset, e.bytes});
-        }
-        PipelinedReader::Config pcfg;
-        pcfg.depth = cfg.pipelineDepth;
-        pcfg.bufferBytes = cfg.pipelineBufferBytes;
-        pcfg.outStages = {sim::Stage(_board->memory())};
-        for (auto &st : extra_out)
-            pcfg.outStages.push_back(st);
-        pcfg.outSetup = out_setup;
-        pcfg.buffers = &_board->buffers();
-        PipelinedReader::start(eq, *_array, std::move(ranges), pcfg,
-                               std::move(done));
-    });
-}
-
-bool
-Raid2Server::verifyFunctionalRange(std::uint64_t dev_off,
-                                   std::uint64_t bytes)
-{
-    if (!verifyDev || bytes == 0)
-        return true;
-    const std::uint32_t bs = verifyDev->blockSize();
-    const std::uint64_t b0 = dev_off / bs;
-    const std::uint64_t b1 =
-        std::min((dev_off + bytes + bs - 1) / bs,
-                 verifyDev->numBlocks());
-    if (b0 >= b1)
-        return true;
-    _verifyScratch.resize((b1 - b0) * bs);
-    return verifyDev->verifiedReadRange(
-        b0, b1 - b0, {_verifyScratch.data(), _verifyScratch.size()});
-}
-
-void
-Raid2Server::fileReadChecked(lfs::InodeNum ino, std::uint64_t off,
-                             std::uint64_t len,
-                             std::function<void(bool)> done,
-                             std::vector<sim::Stage> extra_out,
-                             sim::Tick out_setup)
-{
-    fsCpu->submitBusyTime(cfg.fsReadOverhead, [this, ino, off, len,
-                                               extra_out =
-                                                   std::move(extra_out),
-                                               out_setup,
-                                               done = std::move(done)]()
-                                                  mutable {
-        bool ok = true;
-        std::vector<Range> ranges;
-        for (const lfs::FileExtent &e : fs().mapFile(ino, off, len)) {
-            if (e.hole)
-                continue;
-            ranges.push_back(Range{e.deviceOffset, e.bytes});
-            // Verify-on-read with read-repair on the functional plane;
-            // the timed transfer below ships whatever survived.
-            if (!verifyFunctionalRange(e.deviceOffset, e.bytes))
-                ok = false;
-        }
-        if (!ok) {
-            ++_corruptReads;
-            if (auto *t = eq.tracer())
-                t->complete(_name, "data_corrupt_read", eq.now(),
-                            eq.now(), len);
-        }
+        std::vector<Range> ranges = mapRanges(ino, off, len);
+        // Verify-on-read with read-repair on the functional plane; the
+        // timed transfer below ships whatever survived.
+        const bool ok = verifyRanges(ranges, len);
         PipelinedReader::Config pcfg;
         pcfg.depth = cfg.pipelineDepth;
         pcfg.bufferBytes = cfg.pipelineBufferBytes;
@@ -556,11 +523,13 @@ Raid2Server::fileReadChecked(lfs::InodeNum ino, std::uint64_t off,
                                 eq.now(), len);
                 _loop->transfer(len,
                                 [ok, done = std::move(done)]() mutable {
-                                    done(ok);
+                                    if (done)
+                                        done(ok);
                                 });
                 return;
             }
-            done(ok);
+            if (done)
+                done(ok);
         };
         PipelinedReader::start(eq, *_array, std::move(ranges), pcfg,
                                std::move(finish));
@@ -568,31 +537,9 @@ Raid2Server::fileReadChecked(lfs::InodeNum ino, std::uint64_t off,
 }
 
 void
-Raid2Server::standardReadChecked(lfs::InodeNum ino, std::uint64_t off,
-                                 std::uint64_t len,
-                                 std::function<void(bool)> done)
-{
-    bool ok = true;
-    if (verifyDev) {
-        for (const lfs::FileExtent &e : fs().mapFile(ino, off, len)) {
-            if (e.hole)
-                continue;
-            if (!verifyFunctionalRange(e.deviceOffset, e.bytes))
-                ok = false;
-        }
-        if (!ok)
-            ++_corruptReads;
-    }
-    standardRead(ino, off, len,
-                 [ok, done = std::move(done)]() mutable { done(ok); });
-}
-
-void
 Raid2Server::scrubVerifyChunk(unsigned d, std::uint64_t off,
                               std::uint64_t len)
 {
-    if (!verifyDev)
-        return;
     const raid::RaidLayout &lay = _functional->layout();
     const std::uint64_t span = _functional->diskData(0).size();
     if (off >= span)
@@ -632,22 +579,29 @@ Raid2Server::fsSync(std::function<void()> done)
 
 void
 Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
-                          std::uint64_t len, std::function<void()> done)
+                          std::uint64_t len, std::function<void(bool)> done)
 {
+    // Verify first: a file the host cache holds is still refused if
+    // its media copy went bad.
+    const bool ok =
+        !cfg.withIntegrity || verifyRanges(mapRanges(ino, off, len), len);
+    auto finish = std::make_shared<std::function<void()>>(
+        [ok, done = std::move(done)] {
+            if (done)
+                done(ok);
+        });
+
     // Name lookup / request handling on the host.
     _host->chargeIoCompletion(true, nullptr);
 
     // Host file cache (§3.2): a resident file is served from host
     // memory — no XBUS or disk traffic at all.
     if (_hostCache.lookup(ino)) {
-        fsCpu->submitBusyTime(
-            cfg.fsReadOverhead,
-            [this, len, done = std::move(done)]() mutable {
-                _host->copyThroughMemory(
-                    len, [this, len, done = std::move(done)]() mutable {
-                        _ethernet->send(len, std::move(done));
-                    });
+        fsCpu->submitBusyTime(cfg.fsReadOverhead, [this, len, finish] {
+            _host->copyThroughMemory(len, [this, len, finish] {
+                _ethernet->send(len, [finish] { (*finish)(); });
             });
+        });
         return;
     }
     // The read below brings the whole file into the host cache if it
@@ -656,20 +610,11 @@ Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
     if (file_size > 0 && file_size <= _hostCache.capacity())
         _hostCache.insert(ino, file_size);
 
-    fsCpu->submitBusyTime(cfg.fsReadOverhead, [this, ino, off, len,
-                                               done = std::move(done)]()
-                                                  mutable {
-        std::vector<Range> ranges;
-        for (const lfs::FileExtent &e : fs().mapFile(ino, off, len)) {
-            if (e.hole)
-                continue;
-            ranges.push_back(Range{e.deviceOffset, e.bytes});
-        }
+    fsCpu->submitBusyTime(cfg.fsReadOverhead,
+                          [this, ino, off, len, finish] {
+        const std::vector<Range> ranges = mapRanges(ino, off, len);
         auto remaining = std::make_shared<std::size_t>(ranges.size());
-        auto done_ptr = std::make_shared<std::function<void()>>(
-            std::move(done));
-        auto total = len;
-        auto after_reads = [this, done_ptr, total] {
+        auto after_reads = [this, finish, len] {
             // XBUS -> slow VME link -> host backplane -> host memory
             // copies -> Ethernet to the client.
             std::vector<sim::Stage> stages = {
@@ -678,12 +623,9 @@ Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
             for (auto &st : _host->dataPathStages())
                 stages.push_back(st);
             sim::Pipeline::start(
-                eq, stages, total, cal::xbusChunkBytes,
-                [this, done_ptr, total] {
-                    _ethernet->send(total, [done_ptr] {
-                        if (*done_ptr)
-                            (*done_ptr)();
-                    });
+                eq, stages, len, cal::xbusChunkBytes,
+                [this, finish, len] {
+                    _ethernet->send(len, [finish] { (*finish)(); });
                 });
         };
         if (ranges.empty()) {

@@ -4,13 +4,21 @@
  *
  * Glues the whole prototype together the way Fig 2 draws it: an XBUS
  * board with its disk array (SimArray, timed), the HIPPI pair, the
- * host workstation, and LFS.  The file system runs functionally on a
- * device whose logical space coincides with the timed array's logical
- * space; the server mirrors LFS's device traffic into the timed plane
- * (segment flushes become full-stripe array writes, mapFile() extents
- * become pipelined array reads), which is exactly the division of
- * labor between the Sun 4/280 host software and the XBUS hardware in
- * the real system.
+ * host workstation, and LFS.  The file system runs functionally on one
+ * device chain whose logical space coincides with the timed array's
+ * logical space:
+ *
+ *   raid::RaidArray twin -> fs::ArrayBlockDevice
+ *     -> integrity::VerifyingDevice -> fs::HookBlockDevice -> lfs::Lfs
+ *
+ * The twin holds real bytes and real parity in the timed array's
+ * geometry; the verifying device checks reads against per-block
+ * checksums when Config::withIntegrity is set and is a passthrough
+ * otherwise; the hook mirrors LFS's device traffic into the timed
+ * plane (segment flushes become full-stripe array writes, mapFile()
+ * extents become pipelined array reads), which is exactly the division
+ * of labor between the Sun 4/280 host software and the XBUS hardware
+ * in the real system.
  */
 
 #ifndef RAID2_SERVER_RAID2_SERVER_HH
@@ -28,7 +36,6 @@
 #include "fault/scrubber.hh"
 #include "fs/array_block_device.hh"
 #include "fs/block_device.hh"
-#include "fs/mem_block_device.hh"
 #include "integrity/verifying_device.hh"
 #include "host/host_workstation.hh"
 #include "host/lru_cache.hh"
@@ -87,16 +94,16 @@ class Raid2Server
         /** @} */
 
         /** @{ End-to-end integrity (src/integrity/).  When set, the
-         *  functional device becomes a raid::RaidArray twin (sized to
-         *  cover fsDeviceBytes) wrapped in a VerifyingDevice: every
-         *  write records a per-block checksum, every read is verified
-         *  with read-repair, unrepairable blocks surface as corrupt
-         *  reads, and the scrubber (withReliability) upgrades to a
-         *  full checksum-verify sweep.  Off by default: the functional
-         *  device stays a plain MemBlockDevice and reads cost nothing
-         *  extra. */
+         *  verifying device records a per-block checksum on every
+         *  write and verifies every read with read-repair;
+         *  unrepairable blocks surface as corrupt reads, remounts
+         *  re-seed the checksums from the segment summaries, the
+         *  scrubber (withReliability) upgrades to a full
+         *  checksum-verify sweep, and "integrity.*" stats register.
+         *  Off by default: the device chain is the same, but it
+         *  records and verifies nothing (the mutation self-test mode:
+         *  corruption reaches the caller). */
         bool withIntegrity = false;
-        integrity::VerifyingDevice::Config integrityCfg;
         /** @} */
 
         Config()
@@ -123,10 +130,10 @@ class Raid2Server
     fault::Scrubber &scrubber();
     bool hasReliability() const { return _faults != nullptr; }
     /** @} */
-    /** @{ Integrity subsystem (Config::withIntegrity only). */
+    /** @{ Functional plane (Config::withFs only). */
+    /** The verifying device; it verifies only with withIntegrity. */
     integrity::VerifyingDevice &integrity();
-    bool hasIntegrity() const { return verifyDev != nullptr; }
-    /** The functional RAID twin backing the integrity chain. */
+    /** The functional RAID twin at the bottom of the device chain. */
     raid::RaidArray &functionalArray();
     /** @} */
     /** @} */
@@ -167,27 +174,19 @@ class Raid2Server
      * Timed + functional file read through the pipelined high-
      * bandwidth path into XBUS network buffers.  @p extra_out appends
      * stages after the network-buffer copy (e.g. HIPPI + client NIC).
+     *
+     * With Config::withIntegrity the functional bytes are checksum-
+     * verified first (with read-repair); @p done(false) means some
+     * block was unrepairably corrupt — the front end surfaces it as
+     * Status::DataCorrupt, never as silent wrong data.  Without it
+     * @p done(true) always.  A pending HIPPI-payload corruption
+     * (CorruptionSurface::Network) costs one link-level retransmit of
+     * the payload before completion.
      */
     void fileRead(lfs::InodeNum ino, std::uint64_t off,
-                  std::uint64_t len, std::function<void()> done,
+                  std::uint64_t len, std::function<void(bool ok)> done,
                   std::vector<sim::Stage> extra_out = {},
                   sim::Tick out_setup = 0);
-
-    /**
-     * Like fileRead() but the functional bytes are checksum-verified
-     * first (with read-repair); the completion reports whether every
-     * block held verified data.  @p done(false) means some block was
-     * unrepairably corrupt — the front end surfaces it as
-     * Status::DataCorrupt, never as silent wrong data.  A pending
-     * HIPPI-payload corruption (CorruptionSurface::Network) costs one
-     * link-level retransmit of the payload before completion.
-     * Without Config::withIntegrity this is fileRead() + done(true).
-     */
-    void fileReadChecked(lfs::InodeNum ino, std::uint64_t off,
-                         std::uint64_t len,
-                         std::function<void(bool ok)> done,
-                         std::vector<sim::Stage> extra_out = {},
-                         sim::Tick out_setup = 0);
 
     /** Timed sync: flush LFS state and wait for the array writes. */
     void fsSync(std::function<void()> done);
@@ -199,15 +198,11 @@ class Raid2Server
     /** XBUS -> host link -> host memory -> Ethernet -> client.  Whole
      *  files read this way populate the host's LRU cache; later
      *  standard-mode reads of a cached file skip the array entirely
-     *  (§3.2). */
+     *  (§3.2).  With Config::withIntegrity the functional bytes are
+     *  verified before the cache lookup, so a cached file whose media
+     *  copy went bad still completes @p done(false), like fileRead(). */
     void standardRead(lfs::InodeNum ino, std::uint64_t off,
-                      std::uint64_t len, std::function<void()> done);
-
-    /** Checked sibling of standardRead(): verifies the functional
-     *  bytes first, like fileReadChecked(). */
-    void standardReadChecked(lfs::InodeNum ino, std::uint64_t off,
-                             std::uint64_t len,
-                             std::function<void(bool ok)> done);
+                      std::uint64_t len, std::function<void(bool ok)> done);
 
     /**
      * Standard-mode (NFS-style) write: Ethernet -> host memory ->
@@ -232,11 +227,10 @@ class Raid2Server
     /** Same device, typed: for attaching a fs::WriteLog capture
      *  (model checking) next to the write-mirroring hook. */
     fs::HookBlockDevice &fsHookDevice();
-    /** The functional twin bypassing the write-mirroring hook — for
+    /** The functional device bypassing the write-mirroring hook — for
      *  restore writes whose array timing the BackupEngine models
-     *  itself.  With Config::withIntegrity this is the verifying
-     *  device (restore writes re-record checksums); otherwise the
-     *  in-memory device. */
+     *  itself.  This is the verifying device, so with
+     *  Config::withIntegrity restore writes re-record checksums. */
     fs::BlockDevice &rawFsDevice();
     /** Tear down and re-mount LFS from the functional device (after a
      *  restore rewrote it). */
@@ -277,7 +271,7 @@ class Raid2Server
     /** @{ Statistics. */
     std::uint64_t segmentFlushes() const { return _segmentFlushes; }
     std::uint64_t flushedBytes() const { return _flushedBytes; }
-    /** Checked reads that completed corrupt (integrity only). */
+    /** Reads that completed corrupt (Config::withIntegrity only). */
     std::uint64_t corruptReads() const { return _corruptReads; }
     /** HIPPI payload retransmits forced by network corruption. */
     std::uint64_t netRetransmits() const { return _netRetransmits; }
@@ -295,11 +289,14 @@ class Raid2Server
     void drainPendingWrites(std::function<void()> per_batch_done);
     void noteDeviceWrite(std::uint64_t off, std::uint64_t len);
     void flushCompleted();
-    /** Verify [dev_off, dev_off+bytes) of the functional device, with
-     *  read-repair; @return false on unrepairable corruption.  True
-     *  when integrity is off. */
-    bool verifyFunctionalRange(std::uint64_t dev_off,
-                               std::uint64_t bytes);
+    /** The non-hole device ranges behind [off, off+len) of @p ino. */
+    std::vector<Range> mapRanges(lfs::InodeNum ino, std::uint64_t off,
+                                 std::uint64_t len);
+    /** Verify the functional bytes of @p ranges with read-repair;
+     *  @return false on unrepairable corruption (counted as a corrupt
+     *  read of @p len bytes).  True when integrity is off. */
+    bool verifyRanges(const std::vector<Range> &ranges,
+                      std::uint64_t len);
     /** Scrubber VerifyHook: checksum-verify the logical blocks the
      *  scanned member-disk chunk covers, then heal its redundancy. */
     void scrubVerifyChunk(unsigned d, std::uint64_t off,
@@ -315,9 +312,9 @@ class Raid2Server
     std::unique_ptr<net::EthernetLink> _ethernet;
     std::unique_ptr<net::HippiLoopback> _loop;
 
-    /** Functional RAID twin; null unless Config::withIntegrity.
-     *  Declared before the FaultController (which mirrors faults into
-     *  it) and before the device chain built on top of it. */
+    /** Functional RAID twin; null unless Config::withFs.  Declared
+     *  before the FaultController (which mirrors faults into it) and
+     *  before the device chain built on top of it. */
     std::unique_ptr<raid::RaidArray> _functional;
 
     /** @{ Reliability subsystem; null unless Config::withReliability.
@@ -331,10 +328,9 @@ class Raid2Server
     /** Serializes the per-request file system CPU overheads. */
     std::unique_ptr<sim::Service> fsCpu;
 
-    /** Functional device chain.  Plain: fsDev -> hookDev.  Integrity:
-     *  _functional -> arrayDev -> verifyDev -> hookDev (declaration
-     *  order matters — wrappers must die before what they wrap). */
-    std::unique_ptr<fs::MemBlockDevice> fsDev;
+    /** Functional device chain: _functional -> arrayDev -> verifyDev
+     *  -> hookDev (declaration order matters — wrappers must die
+     *  before what they wrap). */
     std::unique_ptr<fs::ArrayBlockDevice> arrayDev;
     std::unique_ptr<integrity::VerifyingDevice> verifyDev;
     std::unique_ptr<fs::HookBlockDevice> hookDev;

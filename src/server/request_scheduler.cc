@@ -212,9 +212,8 @@ RequestScheduler::dispatch(ClassState &cs, Request &&r,
 
     if (cs.cls == ServiceClass::FastPath) {
         if (req->kind == OpKind::Read) {
-            srv.fileReadChecked(req->ino, req->off, req->len,
-                                on_read_done, req->outStages,
-                                cal::hippiSetupOverhead);
+            srv.fileRead(req->ino, req->off, req->len, on_read_done,
+                         req->outStages, cal::hippiSetupOverhead);
         } else if (req->inStages.empty()) {
             srv.fileWrite(req->ino, req->off, req->len,
                           std::move(on_done));
@@ -231,8 +230,7 @@ RequestScheduler::dispatch(ClassState &cs, Request &&r,
     // Standard mode: small transfers ride the Ethernet through the
     // host (§2.1.1).
     if (req->kind == OpKind::Read)
-        srv.standardReadChecked(req->ino, req->off, req->len,
-                                on_read_done);
+        srv.standardRead(req->ino, req->off, req->len, on_read_done);
     else
         srv.standardWrite(req->ino, req->off, req->len, on_done);
 }

@@ -209,13 +209,15 @@ ZebraVolume::read(std::uint64_t off, std::span<std::uint8_t> out,
         const unsigned srv = dataServer(stripe, k);
         if (!failed[srv]) {
             ++*remaining;
-            servers[srv]->fileRead(fragIno[srv], file_off, take, finish);
+            servers[srv]->fileRead(fragIno[srv], file_off, take,
+                                   [finish](bool) { finish(); });
         } else {
             for (unsigned j = 0; j < numServers(); ++j) {
                 if (j == srv)
                     continue;
                 ++*remaining;
-                servers[j]->fileRead(fragIno[j], file_off, take, finish);
+                servers[j]->fileRead(fragIno[j], file_off, take,
+                                     [finish](bool) { finish(); });
             }
         }
         pos += take;
@@ -278,7 +280,8 @@ ZebraVolume::rebuildServer(unsigned s, std::function<void()> done)
         for (unsigned j = 0; j < numServers(); ++j) {
             if (j == s)
                 continue;
-            servers[j]->fileRead(fragIno[j], stripe * frag, frag, cont);
+            servers[j]->fileRead(fragIno[j], stripe * frag, frag,
+                                 [cont](bool) mutable { cont(); });
         }
     };
     (*step)(0);

@@ -91,14 +91,15 @@ TEST(Integration, HighBandwidthModeBeatsStandardModeForLargeFiles)
     {
         bool done = false;
         const sim::Tick t0 = eq.now();
-        srv.fileRead(ino, 0, data.size(), [&] { done = true; });
+        srv.fileRead(ino, 0, data.size(), [&](bool) { done = true; });
         eq.runUntilDone([&] { return done; });
         fast = eq.now() - t0;
     }
     {
         bool done = false;
         const sim::Tick t0 = eq.now();
-        srv.standardRead(ino, 0, data.size(), [&] { done = true; });
+        srv.standardRead(ino, 0, data.size(),
+                         [&](bool) { done = true; });
         eq.runUntilDone([&] { return done; });
         standard = eq.now() - t0;
     }

@@ -7,11 +7,12 @@
  * byte for byte or completes Status::DataCorrupt.  Zero silent wrong
  * data, ever.
  *
- * The mutation self-test closes the loop on the harness itself: with
- * verification disabled (integrityCfg.verifyReads = false) the same
- * campaigns MUST produce detectable wrong bytes within a few seeds —
- * proving the property test would notice if the checksum machinery
- * stopped working.
+ * The mutation self-test closes the loop on the harness itself: on a
+ * server without integrity (Config::withIntegrity = false: the same
+ * RAID twin and device chain, but nothing is checksummed or verified)
+ * the same campaigns MUST produce detectable wrong bytes within a few
+ * seeds — proving the property test would notice if the checksum
+ * machinery stopped working.
  *
  * The seed matrix starts from RAID2_FAULT_SEED (default 1) so CI can
  * re-run the property under fresh corruption histories.
@@ -115,8 +116,7 @@ struct World
         // laundering hole, so these campaigns run without it), while
         // still fitting RAID-1's halved data capacity.
         cfg.fsDeviceBytes = 48ull * 1024 * 1024;
-        cfg.withIntegrity = true;
-        cfg.integrityCfg.verifyReads = verify;
+        cfg.withIntegrity = verify;
         cfg.withReliability = true;
         cfg.recovery.spares = 0;
         return cfg;
@@ -230,7 +230,7 @@ struct World
         unsigned corruptFiles = 0;
         for (const lfs::InodeNum ino : inos) {
             bool ok = false, done = false;
-            srv.fileReadChecked(ino, 0, kFileBytes, [&](bool r) {
+            srv.fileRead(ino, 0, kFileBytes, [&](bool r) {
                 ok = r;
                 done = true;
             });
@@ -341,8 +341,8 @@ TEST(IntegrityProperty, Raid3DegradedNeverServesWrongBytes)
 }
 
 /**
- * Mutation self-test: disable verification and re-run media-heavy
- * campaigns.  If the harness cannot catch wrong bytes now, the
+ * Mutation self-test: run media-heavy campaigns on a server without
+ * integrity.  If the harness cannot catch wrong bytes now, the
  * property above is vacuous — require a detection within 4 seeds.
  */
 TEST(IntegrityProperty, MutationSelfTestFlagsWrongDataWithinFourSeeds)
@@ -372,8 +372,9 @@ TEST(IntegrityProperty, MutationSelfTestFlagsWrongDataWithinFourSeeds)
         w.finalSweep();
         w.eq.run();
 
-        // Verification is off: nothing detects, nothing repairs, and
-        // no read is ever refused.
+        // Integrity is off: nothing is recorded, nothing detects,
+        // nothing repairs, and no read is ever refused.
+        EXPECT_EQ(w.srv.integrity().checksums().knownCount(), 0u);
         EXPECT_EQ(w.srv.integrity().detected(), 0u);
         EXPECT_EQ(w.srv.integrity().repairs(), 0u);
         EXPECT_EQ(w.corruptReads, 0u);

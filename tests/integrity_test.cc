@@ -4,7 +4,9 @@
  * VerifyingDevice repair ladder (transfer re-read, parity/mirror
  * reconstruction, poisoning), checksum persistence across a remount
  * (segment-summary re-seeding), the upgraded verify scrub, the
- * DataCorrupt front-end surface with client retry, and the satellite
+ * DataCorrupt front-end surface with client retry, the server's one
+ * functional device chain (same twin with verification on or off,
+ * twin sized from the layout's own unit), and the satellite
  * regressions: tryReconstructRange refusing stale bytes, and the
  * scrubber x rebuild interleaving repairing a latent exactly once.
  */
@@ -14,6 +16,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "disk/disk_profile.hh"
@@ -328,6 +331,8 @@ TEST(VerifyingDevice, DisabledVerificationPassesCorruptionThrough)
     EXPECT_NE(out, blk); // silent wrong data, by design
     EXPECT_EQ(dev.detected(), 0u);
     EXPECT_EQ(dev.repairs(), 0u);
+    // Nothing consults the map, so nothing was recorded in it.
+    EXPECT_EQ(dev.checksums().knownCount(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -568,7 +573,7 @@ struct ServerRig
     checkedRead(std::uint64_t off, std::uint64_t len)
     {
         bool ok = false, done = false;
-        srv.fileReadChecked(ino, off, len, [&](bool r) {
+        srv.fileRead(ino, off, len, [&](bool r) {
             ok = r;
             done = true;
         });
@@ -581,7 +586,7 @@ struct ServerRig
 TEST(ServerIntegrity, MediaCorruptionRepairedOnCheckedRead)
 {
     ServerRig rig{serverCfg()};
-    ASSERT_TRUE(rig.srv.hasIntegrity());
+    ASSERT_TRUE(rig.srv.config().withIntegrity);
     rig.corruptUnderFile(64 * 1024 + 3);
 
     EXPECT_TRUE(rig.checkedRead(0, 256 * 1024));
@@ -726,19 +731,138 @@ TEST(ServerIntegrity, StatsRegisterUnderIntegrityPrefix)
     EXPECT_TRUE(reg.contains("integrity.checksums_known"));
     EXPECT_TRUE(reg.contains("integrity.corrupt_reads"));
     EXPECT_TRUE(reg.contains("integrity.net_retransmits"));
+    EXPECT_TRUE(reg.contains("integrity.array.parity.recomputes"));
 
-    // Integrity off: none of it exists and none of it is paid for.
+    // Integrity off: none of it registers and no checksum is paid for.
     sim::EventQueue eq2;
     Raid2Server::Config plain;
     plain.topo.disksPerString = 2;
     plain.topo.profile = &smallProfile();
     plain.fsDeviceBytes = 16ull * 1024 * 1024;
     Raid2Server srv2(eq2, "s2", plain);
-    EXPECT_FALSE(srv2.hasIntegrity());
+    EXPECT_EQ(srv2.integrity().checksums().knownCount(), 0u);
     sim::StatsRegistry reg2;
     srv2.registerStats(reg2);
     EXPECT_FALSE(reg2.contains("integrity.verified_blocks"));
+    EXPECT_FALSE(reg2.contains("integrity.corrupt_reads"));
+    EXPECT_FALSE(reg2.contains("integrity.array.parity.recomputes"));
 }
+
+TEST(ServerIntegrity, IntegrityOffRunsTheSameTwinUnverified)
+{
+    Raid2Server::Config cfg = serverCfg();
+    cfg.withIntegrity = false;
+    ServerRig rig{cfg};
+
+    // The twin is the functional plane: its bytes are the file's.
+    std::vector<std::uint8_t> via_fs(rig.shadow.size());
+    ASSERT_EQ(rig.srv.fs().read(rig.ino, 0, {via_fs.data(), via_fs.size()}),
+              via_fs.size());
+    EXPECT_EQ(via_fs, rig.shadow);
+    for (const auto &e : rig.srv.fs().mapFile(rig.ino, 0, via_fs.size())) {
+        ASSERT_FALSE(e.hole);
+        std::vector<std::uint8_t> twin(e.bytes);
+        rig.srv.functionalArray().read(e.deviceOffset,
+                                       {twin.data(), twin.size()});
+        EXPECT_EQ(0, std::memcmp(twin.data(),
+                                 via_fs.data() + e.fileOffset,
+                                 twin.size()));
+    }
+    EXPECT_EQ(rig.srv.integrity().checksums().knownCount(), 0u);
+
+    // Mutation mode: a media flip is neither detected nor refused.
+    rig.corruptUnderFile(64 * 1024 + 3);
+    EXPECT_TRUE(rig.checkedRead(0, 256 * 1024));
+    EXPECT_EQ(rig.srv.integrity().detected(), 0u);
+    EXPECT_EQ(rig.srv.corruptReads(), 0u);
+    ASSERT_EQ(rig.srv.fs().read(rig.ino, 0, {via_fs.data(), via_fs.size()}),
+              via_fs.size());
+    EXPECT_NE(via_fs, rig.shadow);
+}
+
+TEST(ServerIntegrity, HostCachedStandardReadOfCorruptBlockFails)
+{
+    ServerRig rig{serverCfg()};
+    const auto extents = rig.srv.fs().mapFile(rig.ino, 0, 1);
+    ASSERT_FALSE(extents.empty());
+    unsigned cd = 0;
+    std::uint64_t cdoff = 0;
+    rig.srv.functionalArray().layout().mapByte(extents[0].deviceOffset,
+                                               cd, cdoff);
+    auto standard = [&] {
+        bool ok = false, done = false;
+        rig.srv.standardRead(rig.ino, 0, 8 * 1024, [&](bool r) {
+            ok = r;
+            done = true;
+        });
+        rig.eq.runUntilDone([&] { return done; });
+        EXPECT_TRUE(done);
+        return ok;
+    };
+
+    // The first read brings the whole file into the host cache.
+    ASSERT_TRUE(standard());
+    ASSERT_TRUE(rig.srv.hostCache().lookup(rig.ino));
+
+    // Degrade the array, then rot the media copy: unrepairable.  The
+    // host still holds the file, but the read must not be served.
+    rig.srv.functionalArray().failDisk((cd + 1) % 16);
+    rig.srv.functionalArray().diskData(cd)[cdoff] ^= 0xa5;
+    EXPECT_FALSE(standard());
+    EXPECT_EQ(rig.srv.corruptReads(), 1u);
+    EXPECT_TRUE(rig.srv.hostCache().lookup(rig.ino));
+}
+
+// ---------------------------------------------------------------------
+// The functional twin's size: whole stripes of the layout's own unit
+// ---------------------------------------------------------------------
+
+using TwinCase = std::tuple<raid::RaidLevel, unsigned /*cougars*/,
+                            std::uint64_t /*fsDeviceBytes*/>;
+
+class TwinSize : public testing::TestWithParam<TwinCase>
+{
+};
+
+TEST_P(TwinSize, CoversDeviceWithinOneStripeOfRedundancy)
+{
+    const auto [level, cougars, dev_bytes] = GetParam();
+    Raid2Server::Config cfg;
+    cfg.layout.level = level;
+    cfg.topo.numCougars = cougars;
+    cfg.topo.disksPerString = 2;
+    cfg.topo.profile = &smallProfile();
+    cfg.fsDeviceBytes = dev_bytes;
+    sim::EventQueue eq;
+    Raid2Server srv(eq, "s", cfg);
+
+    const raid::RaidArray &twin = srv.functionalArray();
+    const raid::RaidLayout &lay = twin.layout();
+    const unsigned n = twin.numDisks();
+    ASSERT_EQ(n, cfg.topo.numDisks());
+    std::uint64_t total = 0;
+    for (unsigned d = 0; d < n; ++d)
+        total += twin.diskData(d).size();
+
+    // Covers the device, and costs no more than the device scaled by
+    // the level's redundancy plus one stripe of rounding.
+    EXPECT_GE(twin.capacity(), dev_bytes);
+    const std::uint64_t data_disks = lay.dataUnitsPerStripe();
+    const std::uint64_t bound =
+        (dev_bytes * n + data_disks - 1) / data_disks + lay.unitBytes() * n;
+    EXPECT_LE(total, bound) << "twin " << total << " B for a "
+                            << dev_bytes << " B device";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LevelsDisksSizes, TwinSize,
+    testing::Combine(testing::Values(raid::RaidLevel::Raid0,
+                                     raid::RaidLevel::Raid1,
+                                     raid::RaidLevel::Raid3,
+                                     raid::RaidLevel::Raid5),
+                     testing::Values(1u, 2u, 4u), // 4, 8, 16 disks
+                     testing::Values(std::uint64_t(6) << 20,
+                                     (std::uint64_t(12) << 20) + 4096)));
 
 // ---------------------------------------------------------------------
 // Client retry on DataCorrupt

@@ -129,9 +129,10 @@ TEST_P(LayoutProperty, MapByteIsABijectionOnDataSpace)
         ASSERT_LT(d, p.disks);
         auto [it, inserted] = seen.emplace(std::make_pair(d, off),
                                            logical);
-        if (!inserted)
+        if (!inserted) {
             EXPECT_EQ(it->second, logical)
                 << "two logical bytes share a physical byte";
+        }
     }
 }
 

@@ -54,7 +54,7 @@ TEST(Robustness, ServerServesThroughFailureAndRebuild)
             return;
         const std::uint64_t off =
             rng.below(seed.size() / (256 * 1024)) * (256 * 1024);
-        srv.fileRead(ino, off, 256 * 1024, [&] {
+        srv.fileRead(ino, off, 256 * 1024, [&](bool) {
             ++served;
             pump();
         });
@@ -176,7 +176,7 @@ TEST(Robustness, MixedReadWriteSyncLoadStaysConsistent)
             srv.fileRead(ino, 0,
                          std::min<std::uint64_t>(
                              srv.fs().statIno(ino).size, 100000),
-                         done);
+                         [done](bool) { done(); });
         else
             srv.fsSync(done);
     };

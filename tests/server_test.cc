@@ -136,7 +136,7 @@ TEST(Raid2Server, FileReadUsesMappedExtents)
 
     bool done = false;
     const sim::Tick t0 = eq.now();
-    srv.fileRead(ino, 0, data.size(), [&] { done = true; });
+    srv.fileRead(ino, 0, data.size(), [&](bool) { done = true; });
     eq.runUntilDone([&] { return done; });
     EXPECT_TRUE(done);
     EXPECT_GE(srv.array().bytesRead(), data.size());
@@ -168,7 +168,7 @@ TEST(Raid2Server, StandardReadGoesOverEthernet)
     srv.fs().sync();
 
     bool done = false;
-    srv.standardRead(ino, 0, data.size(), [&] { done = true; });
+    srv.standardRead(ino, 0, data.size(), [&](bool) { done = true; });
     eq.runUntilDone([&] { return done; });
     EXPECT_TRUE(done);
     EXPECT_GT(srv.ethernet().packets(), 0u);
@@ -188,7 +188,7 @@ TEST(Raid2Server, HostCacheServesRepeatStandardReads)
     auto timed_read = [&] {
         bool done = false;
         const sim::Tick t0 = eq.now();
-        srv.standardRead(ino, 0, data.size(), [&] { done = true; });
+        srv.standardRead(ino, 0, data.size(), [&](bool) { done = true; });
         eq.runUntilDone([&] { return done; });
         return eq.now() - t0;
     };
@@ -214,7 +214,7 @@ TEST(Raid2Server, WritesInvalidateHostCache)
     srv.fs().sync();
 
     bool done = false;
-    srv.standardRead(ino, 0, data.size(), [&] { done = true; });
+    srv.standardRead(ino, 0, data.size(), [&](bool) { done = true; });
     eq.runUntilDone([&] { return done; });
     EXPECT_TRUE(srv.hostCache().lookup(ino));
 

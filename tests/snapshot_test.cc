@@ -147,10 +147,11 @@ TEST(SnapshotProperty, CleanerNeverReclaimsPinnedSegments)
         fs.sync();
         fs.clean(static_cast<unsigned>(fs.totalSegments()));
         for (std::uint64_t s = 0; s < fs.totalSegments(); ++s) {
-            if (rec.pinned[s])
+            if (rec.pinned[s]) {
                 ASSERT_TRUE(fs.segmentPinned(s))
                     << "segment " << s << " unpinned in round "
                     << round;
+            }
         }
     }
 

@@ -74,8 +74,9 @@ TEST(Trace, SynthesisIsDeterministicAndOrdered)
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a.records()[i].path, b.records()[i].path);
         EXPECT_EQ(a.records()[i].when, b.records()[i].when);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a.records()[i].when, a.records()[i - 1].when);
+        }
     }
     EXPECT_NE(a.size(), c.size());
 }

@@ -454,7 +454,8 @@ main(int argc, char **argv)
             if (write)
                 srv.fileWrite(ino, off, len, std::move(done));
             else
-                srv.fileRead(ino, off, len, std::move(done));
+                srv.fileRead(ino, off, len,
+                             [done = std::move(done)](bool) { done(); });
         } else {
             if (write)
                 srv.hwWrite(off, len, std::move(done));
