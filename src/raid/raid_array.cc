@@ -16,7 +16,7 @@ RaidArray::RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes)
       // from the kernel's zero pages, so the array costs memory only
       // for the disk regions actually written.
       store(static_cast<std::uint8_t *>(
-          std::calloc(cfg.numDisks, static_cast<std::size_t>(stride())))),
+          std::calloc(cfg.numDisks, static_cast<std::size_t>(disk_bytes)))),
       failed(cfg.numDisks, false), latents(cfg.numDisks)
 {
     if (cfg.numDisks > kMaxFoldSources)

@@ -174,15 +174,10 @@ class RaidArray
     void eraseLatentRange(unsigned d, std::uint64_t off,
                           std::uint64_t bytes);
 
-    /** Bytes from one disk's start to the next in the store: the disk
-     *  plus a page and a cache line, so the parity fold's sources (the
-     *  same offset on every disk) do not all land in one cache set, as
-     *  they do at a stride that is a multiple of 64 KB. */
-    std::uint64_t stride() const { return diskBytes + 4096 + 64; }
-    std::uint8_t *disk(unsigned d) { return store.get() + d * stride(); }
+    std::uint8_t *disk(unsigned d) { return store.get() + d * diskBytes; }
     const std::uint8_t *disk(unsigned d) const
     {
-        return store.get() + d * stride();
+        return store.get() + d * diskBytes;
     }
 
     struct FreeDeleter
@@ -192,7 +187,7 @@ class RaidArray
 
     RaidLayout _layout;
     std::uint64_t diskBytes;
-    /** Every member disk in one block: disk d at d * stride(). */
+    /** Every member disk in one block: disk d at d * diskBytes. */
     std::unique_ptr<std::uint8_t[], FreeDeleter> store;
     std::vector<bool> failed;
     /** Per-disk latent ranges: start offset -> length, non-overlapping. */

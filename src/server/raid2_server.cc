@@ -403,13 +403,7 @@ void
 Raid2Server::fileWrite(lfs::InodeNum ino, std::uint64_t off,
                        std::uint64_t len, std::function<void()> done)
 {
-    // Synthesize a deterministic payload for benches that don't care
-    // about the bytes.
-    std::vector<std::uint8_t> data(len);
-    for (std::size_t i = 0; i < data.size(); ++i)
-        data[i] = static_cast<std::uint8_t>((off + i) * 131 + ino);
-    fileWriteData(ino, off, {data.data(), data.size()},
-                  std::move(done));
+    submitWrite(ino, off, len, nullptr, std::move(done));
 }
 
 void
@@ -417,27 +411,50 @@ Raid2Server::fileWriteData(lfs::InodeNum ino, std::uint64_t off,
                            std::span<const std::uint8_t> data,
                            std::function<void()> done)
 {
-    auto copy = std::make_shared<std::vector<std::uint8_t>>(
-        data.begin(), data.end());
+    submitWrite(ino, off, data.size(),
+                std::make_shared<const std::vector<std::uint8_t>>(
+                    data.begin(), data.end()),
+                std::move(done));
+}
+
+void
+Raid2Server::submitWrite(lfs::InodeNum ino, std::uint64_t off,
+                         std::uint64_t len,
+                         std::shared_ptr<const std::vector<std::uint8_t>>
+                             bytes,
+                         std::function<void()> done)
+{
     // Per-request file system + network software cost (~3 ms, §3.4),
     // serialized on the server software path.
-    fsCpu->submitBusyTime(cfg.fsWriteOverhead, [this, ino, off, copy,
+    fsCpu->submitBusyTime(cfg.fsWriteOverhead, [this, ino, off, len,
+                                                bytes = std::move(bytes),
                                                 done =
                                                     std::move(done)]()
                                                    mutable {
+        std::span<const std::uint8_t> data;
+        if (bytes) {
+            data = *bytes;
+        } else {
+            // Synthesized payload, built only now and into one reused
+            // buffer: a per-request copy held across the queue churns
+            // the heap at bulk request sizes.
+            _writeScratch.resize(len);
+            std::uint8_t *p = _writeScratch.data();
+            for (std::size_t i = 0; i < len; ++i)
+                p[i] = static_cast<std::uint8_t>((off + i) * 131 + ino);
+            data = _writeScratch;
+        }
         // Functional write: real bytes into the log; the host's
         // cached copy (if any) is now stale (§3.2: "The file system
         // keeps the two caches consistent").
         if (_fsOpObserver)
-            _fsOpObserver({FsOp::Kind::Write, {}, ino, off,
-                           copy->size()});
+            _fsOpObserver({FsOp::Kind::Write, {}, ino, off, len});
         _hostCache.invalidate(ino);
-        fs().write(ino, off, {copy->data(), copy->size()});
+        fs().write(ino, off, data);
 
         // Copy into the XBUS segment buffer.
-        _board->memory().submit(copy->size(), [this,
-                                               done = std::move(done)]()
-                                                  mutable {
+        _board->memory().submit(len, [this,
+                                      done = std::move(done)]() mutable {
             drainPendingWrites(nullptr);
             if (flushesInFlight >= cfg.maxFlushesInFlight) {
                 flushWaiters.push_back(std::move(done));

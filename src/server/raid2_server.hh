@@ -157,9 +157,10 @@ class Raid2Server
     lfs::InodeNum createFile(const std::string &path);
 
     /**
-     * Timed + functional file write.  Completion models LFS
-     * write-behind: the request finishes once buffered (overhead +
-     * memory copy) unless segment flushes back up.
+     * Timed + functional file write of a synthesized payload: byte i
+     * is (off + i) * 131 + ino.  Completion models LFS write-behind:
+     * the request finishes once buffered (overhead + memory copy)
+     * unless segment flushes back up.
      */
     void fileWrite(lfs::InodeNum ino, std::uint64_t off,
                    std::uint64_t len, std::function<void()> done);
@@ -288,6 +289,12 @@ class Raid2Server
     /** Collect LFS device writes and issue them to the timed array. */
     void drainPendingWrites(std::function<void()> per_batch_done);
     void noteDeviceWrite(std::uint64_t off, std::uint64_t len);
+    /** Queue a write on the fs CPU; null @p bytes = fileWrite()'s
+     *  synthesized payload. */
+    void submitWrite(lfs::InodeNum ino, std::uint64_t off,
+                     std::uint64_t len,
+                     std::shared_ptr<const std::vector<std::uint8_t>> bytes,
+                     std::function<void()> done);
     void flushCompleted();
     /** The non-hole device ranges behind [off, off+len) of @p ino. */
     std::vector<Range> mapRanges(lfs::InodeNum ino, std::uint64_t off,
@@ -347,6 +354,9 @@ class Raid2Server
     std::uint64_t _flushedBytes = 0;
     std::uint64_t _restores = 0;
     bool _restoreActive = false;
+
+    /** fileWrite() payloads are synthesized here at apply time. */
+    std::vector<std::uint8_t> _writeScratch;
 
     /** @{ Integrity-path state. */
     std::vector<std::uint8_t> _verifyScratch;
