@@ -11,6 +11,13 @@
  * RAID level, for segment-sized sequential writes, ragged
  * (unaligned) extents, and segment-sized reads.
  *
+ * The LFS rows time the server's write and read paths over its one
+ * functional chain (VerifyingDevice -> ArrayBlockDevice -> RAID-5
+ * RaidArray): building and writing a segment with lfs::SegmentWriter
+ * (per-block checksums, summary, full-stripe parity, checksum
+ * recording) and verify-on-read of a whole segment — the two places
+ * the block checksum sits on the data path.
+ *
  * Two kinds of output:
  *  - a deterministic work-counter sweep (device block writes, parity
  *    recomputes, full-stripe folds for one segment write down each
@@ -29,6 +36,9 @@
 
 #include "bench_util.hh"
 #include "fs/array_block_device.hh"
+#include "integrity/verifying_device.hh"
+#include "lfs/lfs.hh"
+#include "lfs/segment_writer.hh"
 #include "raid/raid_array.hh"
 #include "sim/stats_registry.hh"
 
@@ -178,6 +188,64 @@ timeLevel(raid::RaidLevel level)
     return t;
 }
 
+/** A formatted LFS device on the server's functional chain. */
+struct LfsChain
+{
+    raid::RaidArray array;
+    fs::ArrayBlockDevice arrayDev;
+    integrity::VerifyingDevice dev;
+    lfs::Superblock sb{};
+
+    LfsChain()
+        : array(levelConfig(raid::RaidLevel::Raid5), 4 * 1024 * 1024),
+          arrayDev(array, kBs), dev(arrayDev, &array)
+    {
+        lfs::Lfs::Params p;
+        p.blockSize = kBs;
+        p.segBlocks = kSegBlocks;
+        p.alignSegmentsTo = array.layout().stripeDataBytes();
+        lfs::Lfs::format(dev, p);
+        std::vector<std::uint8_t> block0(kBs);
+        dev.readBlock(0, {block0.data(), block0.size()});
+        std::memcpy(&sb, block0.data(), sizeof(sb));
+    }
+};
+
+struct LfsTimings
+{
+    double segmentBuild, verifyRead;
+};
+
+LfsTimings
+timeLfs()
+{
+    LfsChain rig;
+    lfs::SegmentWriter sw(rig.dev, rig.sb);
+    const std::uint32_t payload_blocks = rig.sb.payloadBlocksPerSegment();
+    std::vector<std::uint8_t> blocks(std::size_t(payload_blocks) * kBs);
+    for (std::size_t i = 0; i < blocks.size(); ++i)
+        blocks[i] = static_cast<std::uint8_t>(i * 131 + (i >> 12));
+
+    LfsTimings t;
+    std::uint64_t seq = 1;
+    t.segmentBuild = measureMBs(blocks.size(), [&] {
+        sw.open(0, seq++);
+        for (std::uint32_t b = 0; sw.hasSpace(); ++b)
+            sw.add(lfs::BlockKind::Data, 1, b,
+                   {blocks.data() + std::size_t(b) * kBs, kBs});
+        sw.writeOut(1);
+    });
+
+    std::vector<std::uint8_t> seg(std::size_t(rig.sb.segBlocks) * kBs);
+    t.verifyRead = measureMBs(seg.size(), [&] {
+        if (!rig.dev.verifiedReadRange(rig.sb.segmentStartBlock(0),
+                                       rig.sb.segBlocks,
+                                       {seg.data(), seg.size()}))
+            std::abort();
+    });
+    return t;
+}
+
 } // namespace
 
 int
@@ -240,5 +308,11 @@ main(int argc, char **argv)
                 "");
         rep.row(lv + " seg read extent", t.segReadExtent, "MB/s", "");
     }
+
+    const LfsTimings lt = timeLfs();
+    rep.row("raid5 LFS segment build", lt.segmentBuild, "MB/s",
+            "SegmentWriter add x N + writeOut, verifying chain");
+    rep.row("raid5 LFS verify-on-read", lt.verifyRead, "MB/s",
+            "one segment through VerifyingDevice");
     return 0;
 }

@@ -5,10 +5,11 @@
  * RAID parity protects against *reported* failures; a silently flipped
  * bit on media or on a transfer is invisible to it.  The ChecksumMap
  * closes that gap: every block written through the functional device
- * chain records a 64-bit FNV-1a of its contents, and verify-on-read
+ * chain records the 64-bit lfs::checksum() of its contents (a
+ * word-at-a-time hash, not a per-byte loop), and verify-on-read
  * (integrity::VerifyingDevice) compares what came back against what
  * was written.  The same checksum is persisted in each segment
- * summary's SummaryEntry::csum (format v2), so the map can be re-seeded
+ * summary's SummaryEntry::csum (format v3), so the map can be re-seeded
  * from the log after a crash (integrity::seedFromSegments).
  *
  * Blocks never written have no expectation and verify trivially — the
@@ -29,7 +30,7 @@
 
 namespace raid2::integrity {
 
-/** Block number -> expected content checksum (fnv1a64). */
+/** Block number -> expected content checksum (lfs::checksum). */
 class ChecksumMap
 {
   public:
@@ -47,7 +48,7 @@ class ChecksumMap
     {
         if (block.size() != bs)
             sim::panic("ChecksumMap: bad block size %zu", block.size());
-        set(bno, lfs::fnv1a64(block));
+        set(bno, lfs::checksum(block));
     }
 
     /** Install a known-good checksum directly (log re-seeding). */
@@ -83,7 +84,7 @@ class ChecksumMap
     {
         if (!known(bno))
             return true;
-        return lfs::fnv1a64(block) == sums[bno];
+        return lfs::checksum(block) == sums[bno];
     }
 
     /** Blocks with a recorded expectation. */

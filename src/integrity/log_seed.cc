@@ -41,7 +41,7 @@ seedFromSegments(fs::BlockDevice &dev, ChecksumMap &map)
         const std::uint32_t zero = 0;
         std::memcpy(tmp.data() + offsetof(lfs::SummaryHeader, checksum),
                     &zero, sizeof(zero));
-        if (lfs::fnv1a({tmp.data(), tmp.size()}) != hdr.checksum)
+        if (lfs::checksum32({tmp.data(), tmp.size()}) != hdr.checksum)
             continue;
 
         const auto *entries = reinterpret_cast<const lfs::SummaryEntry *>(

@@ -77,11 +77,11 @@ Lfs::writeCheckpoint()
                 p[s / 8] |= std::uint8_t(1u << (s % 8));
         }
     }
-    hdr.bodyChecksum = fnv1a({body.data(), body.size()});
+    hdr.bodyChecksum = checksum32({body.data(), body.size()});
     {
         CheckpointHeader tmp = hdr;
         tmp.checksum = 0;
-        hdr.checksum = fnv1a(
+        hdr.checksum = checksum32(
             {reinterpret_cast<const std::uint8_t *>(&tmp), sizeof(tmp)});
     }
 
@@ -116,8 +116,8 @@ Lfs::readCheckpoint(std::uint64_t region_block, CheckpointHeader &hdr,
         CheckpointHeader tmp = hdr;
         tmp.checksum = 0;
         if (hdr.checksum !=
-            fnv1a({reinterpret_cast<const std::uint8_t *>(&tmp),
-                   sizeof(tmp)})) {
+            checksum32({reinterpret_cast<const std::uint8_t *>(&tmp),
+                        sizeof(tmp)})) {
             return false;
         }
     }
@@ -157,7 +157,7 @@ Lfs::readCheckpoint(std::uint64_t region_block, CheckpointHeader &hdr,
         if (body_size > body_cap)
             return false;
     }
-    if (hdr.bodyChecksum != fnv1a({body, body_size}))
+    if (hdr.bodyChecksum != checksum32({body, body_size}))
         return false;
 
     chunk_addrs.resize(hdr.numImapChunks);

@@ -364,7 +364,11 @@ Lfs::freeFileBlocks(DiskInode &inode, std::uint64_t first_keep_fbno)
                                                             numDirect, p);
         if (from < p) {
             ensureSpace();
-            clear_tail(inode.indirect, from, false, free_whole_child);
+            // Through a local: the packed DiskInode field is not 8-byte
+            // aligned, so it cannot bind to clear_tail's reference.
+            BlockAddr ind = inode.indirect;
+            clear_tail(ind, from, false, free_whole_child);
+            inode.indirect = ind;
         }
     }
 
@@ -409,8 +413,9 @@ Lfs::freeFileBlocks(DiskInode &inode, std::uint64_t first_keep_fbno)
             within == 0 ? first_child : first_child + 1;
         if (first_whole < p) {
             ensureSpace();
-            clear_tail(inode.dindirect, first_whole, true,
-                       free_whole_child);
+            BlockAddr dind = inode.dindirect;
+            clear_tail(dind, first_whole, true, free_whole_child);
+            inode.dindirect = dind;
         }
     }
 

@@ -93,14 +93,14 @@ Lfs::format(fs::BlockDevice &dev, const Params &params)
                                        sizeof(UsageEntry) *
                                            sb.numSegments,
                                    0);
-    hdr.bodyChecksum = fnv1a({body.data(), body.size()});
+    hdr.bodyChecksum = checksum32({body.data(), body.size()});
     hdr.checksum = 0;
     {
         CheckpointHeader tmp = hdr;
         tmp.checksum = 0;
         hdr.checksum =
-            fnv1a({reinterpret_cast<const std::uint8_t *>(&tmp),
-                   sizeof(tmp)});
+            checksum32({reinterpret_cast<const std::uint8_t *>(&tmp),
+                        sizeof(tmp)});
     }
 
     std::vector<std::uint8_t> region(
@@ -125,6 +125,15 @@ Lfs::Lfs(fs::BlockDevice &dev_) : dev(dev_)
     std::vector<std::uint8_t> block(dev.blockSize(), 0);
     dev.readBlock(0, {block.data(), block.size()});
     std::memcpy(&sb, block.data(), sizeof(sb));
+    if (sb.magic == superMagic && sb.version != formatVersion) {
+        // Other versions checksum or lay out the media differently:
+        // refuse them by name, not as a corrupt superblock.
+        throw LfsError(Errno::Invalid,
+                       "unsupported LFS on-media format v" +
+                           std::to_string(sb.version) + " (this build "
+                           "reads only v" + std::to_string(formatVersion) +
+                           "; reformat the device)");
+    }
     if (!sb.valid())
         throw LfsError(Errno::Invalid, "not an LFS device (bad superblock)");
     prm.blockSize = sb.blockSize;
@@ -316,7 +325,10 @@ Lfs::writeData(DiskInode &inode, std::uint64_t off,
         left -= take;
     }
 
-    inode.size = std::max<std::uint64_t>(inode.size, off + data.size());
+    // Copy the packed field out: std::max binds references, and
+    // DiskInode::size is not 8-byte aligned.
+    const std::uint64_t old_size = inode.size;
+    inode.size = std::max<std::uint64_t>(old_size, off + data.size());
     inode.mtime = ++logicalTime;
     markInodeDirty(inode.ino);
     return data.size();

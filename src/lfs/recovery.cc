@@ -3,8 +3,9 @@
  * Mount-time crash recovery.
  *
  * Load the newest valid checkpoint, then roll the log forward: follow
- * the segment chain the summaries record, verifying sequence numbers
- * and payload checksums, and re-apply the imap chunk updates each
+ * the segment chain the summaries record, verifying sequence numbers,
+ * the summary checksum and each payload block against its summary
+ * entry's checksum, and re-apply the imap chunk updates each
  * segment carries.  Everything synced before the crash becomes
  * reachable again; a torn head segment fails its checksum and ends the
  * roll-forward, exactly as in Sprite LFS.  §3.1: "For a 1 gigabyte
@@ -91,14 +92,25 @@ Lfs::rollForward(std::uint64_t start_seg, std::uint64_t start_seq)
             std::uint32_t zero = 0;
             std::memcpy(tmp.data() + offsetof(SummaryHeader, checksum),
                         &zero, sizeof(zero));
-            if (hdr.checksum != fnv1a({tmp.data(), tmp.size()}))
+            if (hdr.checksum != checksum32({tmp.data(), tmp.size()}))
                 break;
         }
-        // Validate the payload (a torn segment write ends recovery).
+        // Validate every payload block against its summary entry (the
+        // summary checksum vouches for the entries): a torn segment
+        // write ends recovery.
+        const auto *entries = reinterpret_cast<const SummaryEntry *>(
+            summary.data() + sizeof(SummaryHeader));
         payload.resize(std::size_t(hdr.count) * sb.blockSize);
         dev.readBlocks(sb.segmentStartBlock(seg) + summary_blocks,
                        hdr.count, {payload.data(), payload.size()});
-        if (hdr.payloadChecksum != fnv1a({payload.data(), payload.size()}))
+        bool intact = true;
+        for (std::uint32_t i = 0; i < hdr.count && intact; ++i) {
+            intact = entries[i].csum ==
+                     checksum({payload.data() +
+                                   std::size_t(i) * sb.blockSize,
+                               sb.blockSize});
+        }
+        if (!intact)
             break;
 
         // Apply: the segment is live; its imap chunks supersede the
@@ -106,8 +118,6 @@ Lfs::rollForward(std::uint64_t start_seg, std::uint64_t start_seq)
         usage[seg].liveBytes =
             static_cast<std::uint32_t>(hdr.count) * sb.blockSize;
         usage[seg].writeSeq = hdr.segSeq;
-        const auto *entries = reinterpret_cast<const SummaryEntry *>(
-            summary.data() + sizeof(SummaryHeader));
         for (std::uint32_t i = 0; i < hdr.count; ++i) {
             if (static_cast<BlockKind>(entries[i].kind) ==
                 BlockKind::ImapChunk) {

@@ -26,7 +26,7 @@ SegmentWriter::open(std::uint64_t seg, std::uint64_t seg_seq)
     segIdx = seg;
     seq = seg_seq;
     entries.clear();
-    payload.clear();
+    image.resize(std::size_t(sb.segBlocks) * sb.blockSize);
 }
 
 bool
@@ -47,9 +47,10 @@ SegmentWriter::add(BlockKind kind, InodeNum ino, std::uint64_t aux,
         sim::panic("SegmentWriter: bad block size %zu", data.size());
 
     const BlockAddr addr = payloadBase() + entries.size();
-    entries.push_back(SummaryEntry{static_cast<std::uint32_t>(kind), ino,
-                                   aux, fnv1a64(data)});
-    payload.insert(payload.end(), data.begin(), data.end());
+    // The checksum is filled in once, by writeOut().
+    std::memcpy(slotBytes(entries.size()), data.data(), sb.blockSize);
+    entries.push_back(
+        SummaryEntry{static_cast<std::uint32_t>(kind), ino, aux, 0});
     return addr;
 }
 
@@ -68,11 +69,8 @@ SegmentWriter::updateInPlace(BlockAddr addr,
         sim::panic("SegmentWriter: update of non-buffered block");
     if (data.size() != sb.blockSize)
         sim::panic("SegmentWriter: bad block size %zu", data.size());
-    const std::size_t slot =
-        static_cast<std::size_t>(addr - payloadBase());
-    std::memcpy(payload.data() + slot * sb.blockSize, data.data(),
+    std::memcpy(slotBytes(addr - payloadBase()), data.data(),
                 sb.blockSize);
-    entries[slot].csum = fnv1a64(data);
 }
 
 void
@@ -83,9 +81,8 @@ SegmentWriter::readBuffered(BlockAddr addr,
         sim::panic("SegmentWriter: read of non-buffered block");
     if (out.size() != sb.blockSize)
         sim::panic("SegmentWriter: bad block size %zu", out.size());
-    const std::size_t slot =
-        static_cast<std::size_t>(addr - payloadBase());
-    std::memcpy(out.data(), payload.data() + slot * sb.blockSize,
+    std::memcpy(out.data(),
+                image.data() + slotOffset(addr - payloadBase()),
                 sb.blockSize);
 }
 
@@ -97,46 +94,44 @@ SegmentWriter::writeOut(std::uint64_t next_segment)
     if (entries.empty())
         sim::panic("SegmentWriter: writeOut of empty segment");
 
-    // Build the summary region (may span several blocks for large
-    // segments).
-    const std::uint32_t summary_blocks = sb.summaryBlocksPerSegment();
-    std::vector<std::uint8_t> summary(
-        std::size_t(summary_blocks) * sb.blockSize, 0);
+    // The summary region (it may span several blocks for large
+    // segments) is rebuilt in front of the payload slots, so the image
+    // is never copied: summary + payload + zero padding go to the
+    // device as a single extent write covering the whole segment.  A
+    // segment usually closes a few slots short (pointer-block
+    // reservation), and padding keeps the device write exactly one
+    // full stripe — the efficient RAID-5 case (§3.1) — whose parity
+    // the array computes exactly once.  The summary's count ignores
+    // the padding.
+    const std::size_t summary_bytes = slotOffset(0);
+    std::memset(image.data(), 0, summary_bytes);
+    std::memset(slotBytes(entries.size()), 0,
+                image.size() - slotOffset(entries.size()));
+
+    // Each payload block is hashed exactly once, here.  The summary
+    // checksum covers these values, so roll-forward can validate every
+    // payload block against its entry.
+    for (std::size_t i = 0; i < entries.size(); ++i)
+        entries[i].csum = checksum({slotBytes(i), sb.blockSize});
+
     SummaryHeader hdr{};
     hdr.magic = summaryMagic;
     hdr.count = static_cast<std::uint32_t>(entries.size());
     hdr.segSeq = seq;
     hdr.nextSegment = next_segment;
-    hdr.payloadChecksum = fnv1a({payload.data(), payload.size()});
-    hdr.checksum = 0;
-
-    std::memcpy(summary.data(), &hdr, sizeof(hdr));
-    std::memcpy(summary.data() + sizeof(hdr), entries.data(),
+    std::memcpy(image.data(), &hdr, sizeof(hdr));
+    std::memcpy(image.data() + sizeof(hdr), entries.data(),
                 entries.size() * sizeof(SummaryEntry));
-    const std::uint32_t csum =
-        fnv1a({summary.data(), summary.size()});
-    std::memcpy(summary.data() + offsetof(SummaryHeader, checksum), &csum,
+    const std::uint32_t csum = checksum32({image.data(), summary_bytes});
+    std::memcpy(image.data() + offsetof(SummaryHeader, checksum), &csum,
                 sizeof(csum));
 
-    // Assemble summary + payload + zero padding into one image and
-    // issue it as a single extent write covering the whole segment: a
-    // segment usually closes a few slots short (pointer-block
-    // reservation), and padding keeps the device write exactly one
-    // full stripe — the efficient RAID-5 case (§3.1).  One extent
-    // (instead of summary/payload/pad pieces) also means the array
-    // computes each stripe's parity exactly once, single-pass.  The
-    // summary's count ignores the padding.
-    segImage.assign(std::size_t(sb.segBlocks) * sb.blockSize, 0);
-    std::memcpy(segImage.data(), summary.data(), summary.size());
-    std::memcpy(segImage.data() + summary.size(), payload.data(),
-                payload.size());
     dev.writeRange(sb.segmentStartBlock(segIdx), sb.segBlocks,
-                   {segImage.data(), segImage.size()});
+                   {image.data(), image.size()});
 
     ++written;
-    payloadBytes += payload.size();
+    payloadBytes += std::uint64_t(entries.size()) * sb.blockSize;
     entries.clear();
-    payload.clear();
     opened = false;
 }
 

@@ -89,6 +89,17 @@ class SegmentWriter
                sb.summaryBlocksPerSegment();
     }
 
+    /** Byte offset of payload slot @p slot in the segment image. */
+    std::size_t slotOffset(std::uint64_t slot) const
+    {
+        return std::size_t(sb.summaryBlocksPerSegment() + slot) *
+               sb.blockSize;
+    }
+    std::uint8_t *slotBytes(std::uint64_t slot)
+    {
+        return image.data() + slotOffset(slot);
+    }
+
     fs::BlockDevice &dev;
     const Superblock &sb;
     std::function<bool(std::uint64_t)> reuseGuard;
@@ -97,8 +108,9 @@ class SegmentWriter
     std::uint64_t segIdx = 0;
     std::uint64_t seq = 0;
     std::vector<SummaryEntry> entries;
-    std::vector<std::uint8_t> payload; // entries.size() * blockSize
-    std::vector<std::uint8_t> segImage; // writeOut scratch, reused
+    /** The whole segment as it goes to the device: summary region,
+     *  then one slot per payload block. */
+    std::vector<std::uint8_t> image;
     std::uint64_t written = 0;
     std::uint64_t payloadBytes = 0;
 };

@@ -84,6 +84,11 @@ PipelinedReader::readDone(std::size_t idx)
 void
 PipelinedReader::drainInOrder()
 {
+    // A chunk sent inline (no out stages) may make another chunk ready
+    // re-entrantly; the loop below picks it up.
+    if (draining)
+        return;
+    draining = true;
     // Deliver strictly in file order so the receiver sees a stream.
     while (nextSend < chunks.size() && chunks[nextSend].ready &&
            !chunks[nextSend].sent) {
@@ -103,6 +108,9 @@ PipelinedReader::drainInOrder()
                              cal::xbusChunkBytes,
                              [this, idx] { chunkSent(idx); });
     }
+    draining = false;
+    // Finish only after the loop: maybeFinish() deletes this.
+    maybeFinish();
 }
 
 void
@@ -122,7 +130,7 @@ PipelinedReader::chunkSent(std::size_t idx)
 void
 PipelinedReader::maybeFinish()
 {
-    if (completed < chunks.size())
+    if (draining || completed < chunks.size())
         return;
     if (done)
         done();

@@ -90,6 +90,7 @@ class PipelinedReader
     std::size_t completed = 0;
     unsigned inFlight = 0;
     bool setupCharged = false;
+    bool draining = false; // inside drainInOrder(): must not finish
 };
 
 } // namespace raid2::server

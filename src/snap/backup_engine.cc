@@ -330,11 +330,11 @@ BackupEngine::synthesizeCheckpoint(const lfs::SnapshotRecord &rec) const
         }
     }
 
-    hdr.bodyChecksum = lfs::fnv1a({body.data(), body.size()});
+    hdr.bodyChecksum = lfs::checksum32({body.data(), body.size()});
     {
         lfs::CheckpointHeader tmp = hdr;
         tmp.checksum = 0;
-        hdr.checksum = lfs::fnv1a(
+        hdr.checksum = lfs::checksum32(
             {reinterpret_cast<const std::uint8_t *>(&tmp), sizeof(tmp)});
     }
 

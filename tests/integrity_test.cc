@@ -91,7 +91,7 @@ TEST(ChecksumMap, RecordsMatchesAndResets)
     EXPECT_FALSE(map.matches(3, {bad.data(), bad.size()}));
 
     // Re-seeding path: install a checksum directly.
-    map.set(7, lfs::fnv1a64({blk.data(), blk.size()}));
+    map.set(7, lfs::checksum({blk.data(), blk.size()}));
     EXPECT_TRUE(map.matches(7, {blk.data(), blk.size()}));
     EXPECT_EQ(map.knownCount(), 2u);
 
