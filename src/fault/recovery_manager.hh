@@ -89,7 +89,6 @@ class RecoveryManager
     sim::EventQueue &eq;
     std::string _name;
     raid::SimArray &array;
-    FaultController &faults;
     Config cfg;
 
     struct PendingFailure

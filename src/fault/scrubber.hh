@@ -8,9 +8,10 @@
  * past a handful of drives — Thomasian, arXiv:1801.08873).  The
  * scrubber sweeps every member disk chunk by chunk through the real
  * timed datapath (so it competes with foreground traffic for the
- * drives, strings and XBUS ports), asks the FaultController's defect
- * map whether the chunk is damaged, and repairs damage from redundancy
- * with a timed reconstruct-and-rewrite.  The inter-chunk delay is the
+ * drives, strings and XBUS ports), asks the array's fault state
+ * whether the chunk is damaged, and repairs damage from redundancy
+ * with a timed reconstruct-and-rewrite (the FaultController accounts
+ * the repair).  The inter-chunk delay is the
  * scrub-rate knob an MTTDL campaign sweeps.
  */
 

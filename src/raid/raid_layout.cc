@@ -106,11 +106,12 @@ RaidLayout::dataDisk(std::uint64_t stripe, unsigned k) const
 }
 
 unsigned
-RaidLayout::mirrorDisk(unsigned primary) const
+RaidLayout::mirrorDisk(unsigned d) const
 {
     if (cfg.level != RaidLevel::Raid1)
         sim::panic("mirrorDisk on %s", raidLevelName(cfg.level));
-    return primary + cfg.numDisks / 2;
+    const unsigned half = cfg.numDisks / 2;
+    return d < half ? d + half : d - half;
 }
 
 DiskExtent

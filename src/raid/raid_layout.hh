@@ -97,8 +97,8 @@ class RaidLayout
     /** Disk holding data unit @p k of @p stripe. */
     unsigned dataDisk(std::uint64_t stripe, unsigned k) const;
 
-    /** Mirror partner of a Level 1 primary disk. */
-    unsigned mirrorDisk(unsigned primary) const;
+    /** Mirror partner of a Level 1 disk, in either half. */
+    unsigned mirrorDisk(unsigned d) const;
 
     /** Extent of data unit @p k of @p stripe, restricted to
      *  [@p off_in_unit, @p off_in_unit + @p bytes). */
