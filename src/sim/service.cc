@@ -8,7 +8,7 @@
 namespace raid2::sim {
 
 Service::Service(EventQueue &eq_, std::string name, const Config &cfg_)
-    : eq(eq_), _name(std::move(name)), cfg(cfg_)
+    : eq(eq_), _name(std::move(name)), cfg(cfg_), busy(cfg_.servers)
 {
     if (cfg.servers == 0)
         fatal("Service %s: servers must be >= 1", _name.c_str());

@@ -102,6 +102,9 @@ double exactQuantile(std::vector<double> &samples, double q);
 class Utilization
 {
   public:
+    /** @p servers: how many requests the resource serves at once. */
+    explicit Utilization(unsigned servers = 1) : servers(servers) {}
+
     /** Record the resource busy for [start, end). Overlaps allowed for
      *  multi-server resources; busy time simply accumulates. */
     void
@@ -113,11 +116,13 @@ class Utilization
 
     Tick busy() const { return busyTicks; }
 
+    /** Busy time over (elapsed x servers): 1.0 is every server busy
+     *  for the whole interval. */
     double
     fraction(Tick elapsed) const
     {
         return elapsed ? static_cast<double>(busyTicks) /
-                             static_cast<double>(elapsed)
+                             (static_cast<double>(elapsed) * servers)
                        : 0.0;
     }
 
@@ -125,6 +130,7 @@ class Utilization
 
   private:
     Tick busyTicks = 0;
+    unsigned servers;
 };
 
 } // namespace raid2::sim

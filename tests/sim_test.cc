@@ -190,6 +190,19 @@ TEST(Stats, Utilization)
     EXPECT_DOUBLE_EQ(u.fraction(1000), 0.6);
 }
 
+TEST(Service, UtilizationIsPerServer)
+{
+    // Four requests on a four-server station run side by side: every
+    // server busy for the whole interval is 100%, not 400%.
+    sim::EventQueue eq;
+    sim::Service svc(eq, "svc", sim::Service::Config{10.0, 0, 4});
+    for (int i = 0; i < 4; ++i)
+        svc.submit(sim::MB, [] {});
+    eq.run();
+    EXPECT_EQ(svc.busyTicks(), sim::msToTicks(400));
+    EXPECT_DOUBLE_EQ(svc.utilization(eq.now()), 1.0);
+}
+
 TEST(Service, RateAndOverheadMath)
 {
     sim::EventQueue eq;

@@ -162,7 +162,7 @@ printUtilization(server::Raid2Server &srv, sim::Tick elapsed)
     for (unsigned c = 0; c < nvme; ++c)
         vme_busy += srv.board().vmePort(c).utilization(elapsed);
     row("XBUS VME ports (mean)", vme_busy / nvme);
-    row("XBUS memory", srv.board().memory().utilization(elapsed) / 4.0);
+    row("XBUS memory", srv.board().memory().utilization(elapsed));
     row("parity engine", srv.board().parityPort().utilization(elapsed));
     row("HIPPI source", srv.board().hippiSrcPort().utilization(elapsed));
 }
