@@ -21,12 +21,11 @@
  * Every row is pure simulated time and simulated work counters, so the
  * sweep is bit-identical no matter how many worker threads
  * RAID2_BENCH_THREADS spreads it over — that's what the CI determinism
- * guard cmp's.  RAID2_BACKUP_QUICK=1 shrinks the sweep for smoke runs
+ * guard cmp's.  --quick shrinks the sweep for smoke runs
  * (still deterministic).
  */
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -56,13 +55,6 @@ constexpr unsigned kFiles = 16; // 4 MB working set
 constexpr double kDropPeriodMs = 50.0;
 /** Schedule outages out to here; runs end well before. */
 constexpr double kDropHorizonMs = 4000.0;
-
-bool
-quickMode()
-{
-    const char *q = std::getenv("RAID2_BACKUP_QUICK");
-    return q && q[0] && q[0] != '0';
-}
 
 server::Raid2Server::Config
 serverConfig(std::uint32_t seg_blocks)
@@ -148,13 +140,13 @@ main(int argc, char **argv)
                 kDropPeriodMs);
 
     const std::vector<unsigned> windows =
-        quickMode() ? std::vector<unsigned>{1, 4}
+        rep.quick() ? std::vector<unsigned>{1, 4}
                     : std::vector<unsigned>{1, 2, 4, 8};
     const std::vector<std::uint32_t> segs =
-        quickMode() ? std::vector<std::uint32_t>{240}
+        rep.quick() ? std::vector<std::uint32_t>{240}
                     : std::vector<std::uint32_t>{64, 240};
     const std::vector<unsigned> drops =
-        quickMode() ? std::vector<unsigned>{0, 30}
+        rep.quick() ? std::vector<unsigned>{0, 30}
                     : std::vector<unsigned>{0, 10, 30};
 
     std::vector<Point> points;

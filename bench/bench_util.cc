@@ -149,6 +149,8 @@ Reporter::Reporter(std::string name, int argc, char **argv)
         const std::string arg = argv[i];
         if (arg == "--json") {
             _json = true;
+        } else if (arg == "--quick") {
+            _quick = true;
         } else if (arg == "--trace") {
             _tracePath = "TRACE_" + _name + ".json";
         } else if (arg.rfind("--trace=", 0) == 0) {

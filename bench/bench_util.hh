@@ -79,11 +79,16 @@ std::vector<std::vector<double>> runSweepParallel(
  * path, or "1" for the default path); attach a sink to the measured
  * run's event queue with makeTracer() and the destructor writes the
  * Chrome trace_event file.
+ *
+ * "--quick" asks for the bench's smoke-sized run (a shorter sweep, no
+ * wall-clock rows, fewer trials); each bench decides what it shrinks,
+ * and its quick output stays deterministic.
  */
 class Reporter
 {
   public:
-    /** Parses --json / --trace[=path] out of argv (leaves the rest). */
+    /** Parses --json / --trace[=path] / --quick out of argv (leaves
+     *  the rest). */
     Reporter(std::string name, int argc = 0, char **argv = nullptr);
     ~Reporter();
 
@@ -91,6 +96,7 @@ class Reporter
     Reporter &operator=(const Reporter &) = delete;
 
     bool jsonEnabled() const { return _json; }
+    bool quick() const { return _quick; }
     bool traceEnabled() const { return !_tracePath.empty(); }
     const std::string &tracePath() const { return _tracePath; }
 
@@ -132,6 +138,7 @@ class Reporter
 
     std::string _name;
     bool _json = false;
+    bool _quick = false;
     std::string _tracePath;
 
     std::string _title;

@@ -15,12 +15,11 @@
  * Every row is pure simulated time and simulated work counters, so
  * the sweep is bit-identical no matter how many worker threads
  * RAID2_BENCH_THREADS spreads it over — that's what the CI
- * determinism guard cmp's.  RAID2_INTEGRITY_QUICK=1 shrinks the sweep
- * for smoke runs (still deterministic).
+ * determinism guard cmp's.  --quick shrinks the sweep for smoke runs
+ * (still deterministic).
  */
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -43,13 +42,6 @@ struct Point
 
 constexpr std::uint64_t kFileBytes = 512 * 1024;
 constexpr unsigned kFiles = 16; // 8 MB working set
-
-bool
-quickMode()
-{
-    const char *q = std::getenv("RAID2_INTEGRITY_QUICK");
-    return q && q[0] && q[0] != '0';
-}
 
 server::Raid2Server::Config
 serverConfig(bool integrity)
@@ -166,10 +158,10 @@ main(int argc, char **argv)
                 kFiles, (unsigned long long)(kFileBytes / 1024));
 
     const std::vector<std::uint64_t> sizes =
-        quickMode() ? std::vector<std::uint64_t>{512 * 1024}
+        rep.quick() ? std::vector<std::uint64_t>{512 * 1024}
                     : std::vector<std::uint64_t>{64 * 1024, 512 * 1024};
     const std::vector<unsigned> corruptions =
-        quickMode() ? std::vector<unsigned>{0, 8}
+        rep.quick() ? std::vector<unsigned>{0, 8}
                     : std::vector<unsigned>{0, 8, 32};
 
     std::vector<Point> points;

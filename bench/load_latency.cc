@@ -16,10 +16,9 @@
  *
  * Each sweep point builds its own simulated world, so the sweep is
  * trivially parallel (RAID2_BENCH_THREADS) and bit-identical to a
- * serial run.  RAID2_LOAD_QUICK=1 shrinks the sweep for CI smoke runs.
+ * serial run.  --quick shrinks the sweep for CI smoke runs.
  */
 
-#include <cstdlib>
 #include <vector>
 
 #include "bench_util.hh"
@@ -39,10 +38,9 @@ struct SweepCfg
 };
 
 SweepCfg
-sweepCfg()
+sweepCfg(bool quick)
 {
-    const char *quick = std::getenv("RAID2_LOAD_QUICK");
-    if (quick && quick[0] && quick[0] != '0')
+    if (quick)
         return {{25, 75, 150, 250}, 64, sim::secToTicks(2.0)};
     return {{25, 50, 75, 100, 125, 150, 200, 250, 300},
             256,
@@ -104,7 +102,7 @@ int
 main(int argc, char **argv)
 {
     bench::Reporter rep("load_latency", argc, argv);
-    const SweepCfg sw = sweepCfg();
+    const SweepCfg sw = sweepCfg(rep.quick());
 
     rep.header("Fleet offered load vs goodput and latency",
                "open-loop sweep past the §3.4 LFS op-overhead knee");

@@ -24,12 +24,11 @@
  *    path) — bit-identical regardless of RAID2_BENCH_THREADS, which is
  *    what the CI determinism guard cmp's;
  *  - wall-clock MB/s rows for each path (extent-vs-block-loop speedup
- *    per level).  RAID2_DATAPATH_QUICK=1 skips these, keeping the
- *    quick-mode JSON deterministic for the guard.
+ *    per level).  --quick skips these, keeping the quick-mode JSON
+ *    deterministic for the guard.
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -82,13 +81,6 @@ levelNumber(raid::RaidLevel level)
     case raid::RaidLevel::Raid5: return 5;
     }
     return -1;
-}
-
-bool
-quickMode()
-{
-    const char *q = std::getenv("RAID2_DATAPATH_QUICK");
-    return q && q[0] && q[0] != '0';
 }
 
 struct Rig
@@ -282,7 +274,7 @@ main(int argc, char **argv)
         rep.snapshotRegistry(reg);
     }
 
-    if (quickMode()) {
+    if (rep.quick()) {
         std::printf("\n  quick mode: wall-clock rows skipped "
                     "(deterministic output for the CI guard)\n");
         return 0;

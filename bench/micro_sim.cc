@@ -203,8 +203,8 @@ main(int argc, char **argv)
     std::vector<char *> bargs;
     for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i];
-        if (i > 0 && (a == "--json" || a == "--trace" ||
-                      a.rfind("--trace=", 0) == 0))
+        if (i > 0 && (a == "--json" || a == "--quick" ||
+                      a == "--trace" || a.rfind("--trace=", 0) == 0))
             continue;
         bargs.push_back(argv[i]);
     }

@@ -19,8 +19,8 @@
  * throttle trades MTTR for foreground service (Thomasian,
  * arXiv:1801.08873).
  *
- * RAID2_MTTDL_TRIALS overrides the trials per setting (default 6);
- * RAID2_FAULT_SEED offsets the trial seeds.
+ * Six trials per setting; --quick runs two.  RAID2_FAULT_SEED offsets
+ * the trial seeds.
  */
 
 #include <cstdlib>
@@ -184,16 +184,6 @@ runTrial(const Setting &st, std::uint64_t seed)
     return r;
 }
 
-unsigned
-trialsPerSetting()
-{
-    const char *env = std::getenv("RAID2_MTTDL_TRIALS");
-    if (!env || !*env)
-        return 6;
-    const long n = std::strtol(env, nullptr, 10);
-    return n > 0 ? static_cast<unsigned>(n) : 1;
-}
-
 std::uint64_t
 seedBase()
 {
@@ -221,7 +211,7 @@ main(int argc, char **argv)
         {"slow", sim::msToTicks(100), true, sim::msToTicks(250)},
         {"fast", 0, true, sim::msToTicks(250)},
     };
-    const unsigned trials = trialsPerSetting();
+    const unsigned trials = rep.quick() ? 2 : 6;
     const std::uint64_t base = seedBase();
 
     // One simulation per (setting, trial), swept across the pool.
