@@ -160,42 +160,42 @@ Lfs::flushInodes()
 }
 
 BlockAddr
-Lfs::getFileBlock(const DiskInode &inode, std::uint64_t fbno) const
+Lfs::BlockMapCursor::entry(PointerBlock &pb, BlockAddr addr,
+                           std::uint64_t idx)
 {
-    const std::uint32_t p = ptrsPer(sb.blockSize);
+    if (addr == nullAddr)
+        return nullAddr;
+    if (pb.addr != addr) {
+        pb.bytes.resize(fs.sb.blockSize);
+        fs.readBlockAny(addr, {pb.bytes.data(), pb.bytes.size()});
+        pb.addr = addr;
+    }
+    BlockAddr value;
+    std::memcpy(&value, pb.bytes.data() + idx * sizeof(value),
+                sizeof(value));
+    return value;
+}
+
+BlockAddr
+Lfs::BlockMapCursor::lookup(std::uint64_t fbno)
+{
+    const std::uint32_t p = ptrsPer(fs.sb.blockSize);
     if (fbno < numDirect)
         return inode.direct[fbno];
-
-    std::vector<std::uint8_t> block(sb.blockSize);
-    if (fbno < numDirect + p) {
-        if (inode.indirect == nullAddr)
-            return nullAddr;
-        readBlockAny(inode.indirect, {block.data(), block.size()});
-        BlockAddr addr;
-        std::memcpy(&addr,
-                    block.data() + (fbno - numDirect) * sizeof(addr),
-                    sizeof(addr));
-        return addr;
-    }
-    if (fbno < maxFileBlocks(sb.blockSize)) {
-        if (inode.dindirect == nullAddr)
-            return nullAddr;
+    if (fbno < numDirect + p)
+        return entry(leaf, inode.indirect, fbno - numDirect);
+    if (fbno < maxFileBlocks(fs.sb.blockSize)) {
         const std::uint64_t rel = fbno - numDirect - p;
-        const std::uint64_t ci = rel / p;
-        const std::uint64_t idx = rel % p;
-        readBlockAny(inode.dindirect, {block.data(), block.size()});
-        BlockAddr child;
-        std::memcpy(&child, block.data() + ci * sizeof(child),
-                    sizeof(child));
-        if (child == nullAddr)
-            return nullAddr;
-        readBlockAny(child, {block.data(), block.size()});
-        BlockAddr addr;
-        std::memcpy(&addr, block.data() + idx * sizeof(addr),
-                    sizeof(addr));
-        return addr;
+        return entry(leaf, entry(root, inode.dindirect, rel / p),
+                     rel % p);
     }
     throw LfsError(Errno::FileTooBig, "file block number out of range");
+}
+
+BlockAddr
+Lfs::getFileBlock(const DiskInode &inode, std::uint64_t fbno) const
+{
+    return BlockMapCursor(*this, inode).lookup(fbno);
 }
 
 namespace {

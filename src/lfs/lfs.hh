@@ -313,6 +313,42 @@ class Lfs
     InodeNum allocInode(FileType type);
     void freeInode(InodeNum ino);
     void flushInodes();
+
+    /**
+     * The one walk from a file block number to its address.  It keeps
+     * the last leaf pointer block (the indirect block or a
+     * double-indirect child) and the double-indirect root it read, by
+     * address, so a walk over an extent reads each pointer block once.
+     * It holds copies of pointer blocks: use it within one const call
+     * only, never across a write, setFileBlock, a clean or a flush.
+     */
+    class BlockMapCursor
+    {
+      public:
+        BlockMapCursor(const Lfs &fs, const DiskInode &inode)
+            : fs(fs), inode(inode)
+        {
+        }
+        BlockAddr lookup(std::uint64_t fbno);
+
+      private:
+        struct PointerBlock
+        {
+            BlockAddr addr = nullAddr;
+            std::vector<std::uint8_t> bytes;
+        };
+        /** Entry @p idx of the pointer block at @p addr, reading it
+         *  into @p pb unless @p pb already holds it. */
+        BlockAddr entry(PointerBlock &pb, BlockAddr addr,
+                        std::uint64_t idx);
+
+        const Lfs &fs;
+        const DiskInode &inode;
+        PointerBlock leaf;
+        PointerBlock root;
+    };
+
+    /** One-shot BlockMapCursor lookup. */
     BlockAddr getFileBlock(const DiskInode &inode,
                            std::uint64_t fbno) const;
     void setFileBlock(DiskInode &inode, std::uint64_t fbno,

@@ -1,6 +1,7 @@
 #include "server/raid2_server.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "integrity/log_seed.hh"
 #include "sim/logging.hh"
@@ -437,11 +438,20 @@ Raid2Server::submitWrite(lfs::InodeNum ino, std::uint64_t off,
         } else {
             // Synthesized payload, built only now and into one reused
             // buffer: a per-request copy held across the queue churns
-            // the heap at bulk request sizes.
+            // the heap at bulk request sizes.  The low byte of
+            // (off + i) * 131 + ino repeats every 256 bytes, so only
+            // the first period is computed; the rest is copied from
+            // the already-filled prefix, doubling each time.
             _writeScratch.resize(len);
             std::uint8_t *p = _writeScratch.data();
-            for (std::size_t i = 0; i < len; ++i)
+            const std::size_t period = std::min<std::size_t>(len, 256);
+            for (std::size_t i = 0; i < period; ++i)
                 p[i] = static_cast<std::uint8_t>((off + i) * 131 + ino);
+            for (std::size_t filled = period; filled < len;) {
+                const std::size_t n = std::min(filled, len - filled);
+                std::memcpy(p + filled, p, n);
+                filled += n;
+            }
             data = _writeScratch;
         }
         // Functional write: real bytes into the log; the host's

@@ -4,11 +4,13 @@
  * chunk boundaries, inode exhaustion and number reuse, directories
  * spanning many blocks, deep nesting, sparse files through the
  * double-indirect level, truncate interactions with the cleaner,
- * mapFile on unsynced data, and mixed churn with periodic fsck.
+ * mapFile on unsynced data and against a per-block reference, and
+ * mixed churn with periodic fsck.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -207,6 +209,85 @@ TEST(LfsEdge, MapFileWorksOnUnsyncedData)
         covered += e.bytes;
     }
     EXPECT_EQ(covered, 50000u);
+}
+
+// mapFile over a whole extent must equal stitching one-block mapFile
+// calls together, on a sparse file whose blocks straddle the
+// direct/indirect and indirect/double-indirect boundaries, part synced
+// and part still in the open segment.
+TEST(LfsEdge, MapFileEqualsPerBlockReference)
+{
+    fs::MemBlockDevice dev(4096, 16384);
+    Lfs::Params p;
+    p.segBlocks = 32;
+    Lfs::format(dev, p);
+    Lfs fs(dev);
+
+    constexpr std::uint64_t bs = 4096;
+    constexpr std::uint64_t dind_first = 12 + 512;
+    constexpr std::uint64_t span_blocks = dind_first + 2 * 512 + 40;
+    const auto ino = fs.create("/sparse");
+    sim::Random rng(17);
+    std::vector<bool> written(span_blocks, false);
+    const auto write_runs = [&](int runs) {
+        for (int r = 0; r < runs; ++r) {
+            // Bias run starts toward the pointer-level boundaries.
+            const std::uint64_t hot[] = {12, dind_first, dind_first + 512};
+            std::uint64_t first = rng.below(span_blocks);
+            if (rng.unit() < 0.5)
+                first = hot[rng.below(3)] - rng.below(8);
+            const std::uint64_t n = std::min<std::uint64_t>(
+                1 + rng.below(24), span_blocks - first);
+            const auto data = pattern(n * bs, first);
+            fs.write(ino, first * bs, {data.data(), data.size()});
+            for (std::uint64_t b = first; b < first + n; ++b)
+                written[b] = true;
+        }
+    };
+    write_runs(60);
+    fs.sync();
+    write_runs(20); // left unsynced
+
+    const std::uint64_t size = fs.statIno(ino).size;
+    const auto reference = [&](std::uint64_t off, std::uint64_t len) {
+        std::vector<lfs::FileExtent> ref;
+        const std::uint64_t end = std::min(off + len, size);
+        for (std::uint64_t pos = off; pos < end;) {
+            const std::uint64_t take =
+                std::min(end - pos, bs - pos % bs);
+            const auto one = fs.mapFile(ino, pos, take);
+            EXPECT_EQ(one.size(), 1u);
+            const lfs::FileExtent &e = one.at(0);
+            EXPECT_EQ(e.hole, !written[pos / bs]) << "block " << pos / bs;
+            if (!ref.empty() && ref.back().hole == e.hole &&
+                (e.hole || ref.back().deviceOffset + ref.back().bytes ==
+                               e.deviceOffset)) {
+                ref.back().bytes += e.bytes;
+            } else {
+                ref.push_back(e);
+            }
+            pos += take;
+        }
+        return ref;
+    };
+
+    for (int trial = 0; trial < 100; ++trial) {
+        const std::uint64_t off = rng.below(size);
+        const std::uint64_t len = 1 + rng.below(600 * bs);
+        const auto got = fs.mapFile(ino, off, len);
+        const auto want = reference(off, len);
+        ASSERT_EQ(got.size(), want.size())
+            << "off " << off << " len " << len;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].hole, want[i].hole) << i;
+            EXPECT_EQ(got[i].fileOffset, want[i].fileOffset) << i;
+            EXPECT_EQ(got[i].bytes, want[i].bytes) << i;
+            if (!got[i].hole) {
+                EXPECT_EQ(got[i].deviceOffset, want[i].deviceOffset) << i;
+            }
+        }
+    }
+    EXPECT_TRUE(fs.fsck().ok);
 }
 
 TEST(LfsEdge, ZeroLengthAndBoundaryIo)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -335,6 +336,57 @@ TEST_F(LfsFixture, MapFileMarksHoles)
     }
     EXPECT_TRUE(saw_hole);
     EXPECT_EQ(covered, 101u * 4096);
+}
+
+// A walk over one extent reads each pointer block once: mapFile reads
+// nothing but pointer blocks, and read() adds one read per data block.
+TEST_F(LfsFixture, ExtentWalkReadsEachPointerBlockOnce)
+{
+    constexpr std::uint64_t bs = 4096;
+    constexpr std::uint64_t ptrs = bs / sizeof(lfs::BlockAddr); // 512
+    constexpr std::uint64_t dind_first = lfs::numDirect + ptrs;
+    const auto ino = fs->create("/f");
+    const std::uint64_t blocks = dind_first + ptrs + 200;
+    const auto data = pattern(blocks * bs, 13);
+    fs->write(ino, 0, {data.data(), data.size()});
+    fs->sync();
+    fs->statIno(ino); // the inode itself is cached from here on
+
+    const auto reads_for = [&](std::uint64_t fbno, std::uint64_t n,
+                               bool with_data) {
+        dev.resetCounters();
+        if (with_data) {
+            std::vector<std::uint8_t> back(n * bs);
+            EXPECT_EQ(fs->read(ino, fbno * bs, {back.data(), back.size()}),
+                      back.size());
+            EXPECT_TRUE(std::equal(back.begin(), back.end(),
+                                   data.begin() + fbno * bs));
+        } else {
+            std::uint64_t covered = 0;
+            for (const auto &e : fs->mapFile(ino, fbno * bs, n * bs))
+                covered += e.bytes;
+            EXPECT_EQ(covered, n * bs);
+        }
+        return dev.readsStat().value() - (with_data ? n : 0);
+    };
+
+    // 512 KB past the direct blocks: the indirect block, once.
+    const std::uint64_t n = 512 * 1024 / bs;
+    EXPECT_EQ(reads_for(lfs::numDirect, n, false), 1u);
+    EXPECT_EQ(reads_for(lfs::numDirect, n, true), 1u);
+
+    // Across the indirect/double-indirect boundary: the indirect
+    // block, the double-indirect root and child 0.
+    EXPECT_EQ(reads_for(dind_first - 10, 20, false), 3u);
+    EXPECT_EQ(reads_for(dind_first - 10, 20, true), 3u);
+
+    // Inside the double-indirect range, crossing from child 0 into
+    // child 1: the root plus one read per child touched.
+    for (bool with_data : {false, true})
+        EXPECT_LE(reads_for(dind_first + ptrs - 64, n, with_data), 1u + 2u);
+    // Within one child: the root and that child.
+    for (bool with_data : {false, true})
+        EXPECT_LE(reads_for(dind_first + 8, n, with_data), 1u + 1u);
 }
 
 TEST_F(LfsFixture, SegmentsFillAndAdvance)

@@ -125,6 +125,37 @@ TEST(Raid2Server, FileWriteIsFunctionalAndTimed)
     EXPECT_TRUE(srv.fs().fsck().ok);
 }
 
+// The synthesized payload is built by one period plus copies; it must
+// still be (off + i) * 131 + ino byte for byte, at every length around
+// and across the 256-byte period.
+TEST(Raid2Server, FileWritePayloadMatchesTheFormula)
+{
+    sim::EventQueue eq;
+    Raid2Server srv(eq, "s", smallConfig(true));
+    lfs::InodeNum ino = srv.createFile("/a");
+    if (ino % 2 == 0)
+        ino = srv.createFile("/b");
+    ASSERT_EQ(ino % 2, 1u);
+
+    const std::uint64_t cases[][2] = {{1, 1},       {255, 4097},
+                                      {256, 333},   {257, 65537},
+                                      {8192, 12345}, {524301, 1000003}};
+    for (const auto &[len, off] : cases) {
+        bool done = false;
+        srv.fileWrite(ino, off, len, [&] { done = true; });
+        eq.runUntilDone([&] { return done; });
+        ASSERT_TRUE(done);
+        std::vector<std::uint8_t> back(len);
+        ASSERT_EQ(srv.fs().read(ino, off, {back.data(), back.size()}),
+                  len);
+        std::uint64_t mismatches = 0;
+        for (std::uint64_t i = 0; i < len; ++i)
+            mismatches +=
+                back[i] != static_cast<std::uint8_t>((off + i) * 131 + ino);
+        EXPECT_EQ(mismatches, 0u) << "len " << len << " off " << off;
+    }
+}
+
 TEST(Raid2Server, FileReadUsesMappedExtents)
 {
     sim::EventQueue eq;
