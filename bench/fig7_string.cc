@@ -53,7 +53,8 @@ main(int argc, char **argv)
         std::vector<std::unique_ptr<scsi::DiskChannel>> channels;
         for (unsigned i = 0; i < ndisks; ++i) {
             disks.push_back(std::make_unique<disk::DiskModel>(
-                eq, "d" + std::to_string(i), disk::ibm0661()));
+                eq, std::string("d").append(std::to_string(i)),
+                disk::ibm0661()));
             cougar.string(0).attach(disks.back().get());
             channels.push_back(std::make_unique<scsi::DiskChannel>(
                 eq, *disks.back(), cougar.string(0), cougar));

@@ -176,8 +176,11 @@ compareAgainstOracle(const Tree &recovered,
                      std::size_t hi)
 {
     std::vector<std::string> diffs;
-    const std::string range =
-        "[" + std::to_string(lo) + "," + std::to_string(hi) + "]";
+    const std::string range = std::string("[")
+                                  .append(std::to_string(lo))
+                                  .append(",")
+                                  .append(std::to_string(hi))
+                                  .append("]");
 
     for (const auto &[path, node] : recovered) {
         bool matched = false;
@@ -260,8 +263,11 @@ compareSnapshotTable(const std::set<std::string> &recovered,
     }
 
     std::vector<std::string> diffs;
-    const std::string range =
-        "[" + std::to_string(lo) + "," + std::to_string(hi) + "]";
+    const std::string range = std::string("[")
+                                  .append(std::to_string(lo))
+                                  .append(",")
+                                  .append(std::to_string(hi))
+                                  .append("]");
     for (const std::string &n : recovered) {
         if (!names.count(n))
             diffs.push_back("snapshot " + n +

@@ -136,7 +136,7 @@ generateWorkload(std::uint64_t seed, const GenConfig &cfg)
             if (model.snapshots().size() >= cfg.maxLiveSnapshots)
                 continue;
             op.kind = Op::Kind::SnapCreate;
-            op.path = "s" + std::to_string(snapCounter++);
+            op.path = std::string("s").append(std::to_string(snapCounter++));
         } else if (roll < 97) {
             if (model.snapshots().empty())
                 continue;

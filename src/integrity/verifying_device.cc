@@ -1,17 +1,27 @@
 #include "integrity/verifying_device.hh"
 
+#include <algorithm>
 #include <cstring>
 
+#include "sim/host_pool.hh"
 #include "sim/stats_registry.hh"
 
 namespace raid2::integrity {
+
+namespace {
+
+/** Below this many bytes phase 1 hashes on the caller's thread: waking
+ *  the pool would cost more than it saves (an 8 KB read). */
+constexpr std::uint64_t minPoolBytes = 64 * 1024;
+
+} // namespace
 
 VerifyingDevice::VerifyingDevice(fs::BlockDevice &inner_,
                                  raid::RaidArray *array_,
                                  const Config &cfg_)
     : inner(inner_), array(array_), cfg(cfg_),
       map(inner_.numBlocks(), inner_.blockSize()),
-      scratch(inner_.blockSize())
+      scratch(inner_.blockSize()), repairOut(inner_.blockSize())
 {
     if (array && array->capacity() < inner.capacityBytes())
         sim::panic("VerifyingDevice: array smaller than inner device");
@@ -94,15 +104,54 @@ VerifyingDevice::verifiedReadRange(std::uint64_t bno, std::uint64_t count,
         applyArmedReadFlips(out);
     if (!cfg.verifyReads)
         return true;
+    return checkCopied(bno, count, out);
+}
 
+bool
+VerifyingDevice::verifyExtents(std::span<const Extent> extents)
+{
+    if (!cfg.verifyReads)
+        return true;
     const std::uint32_t bs = blockSize();
+
+    // Phase 1 for every extent hashed in place, all at once.  Earlier
+    // extents' repairs cannot change these bytes: a repair patches
+    // only its own block's pieces.  Armed read flips hit the first
+    // extent read, as they would a copy of it, so it is copied.
+    std::vector<Image> images;
+    std::vector<bool> inPlace(extents.size(), false);
+    bool flipsPending = _armedReadFlips > 0;
+    for (std::size_t k = 0; k < extents.size(); ++k) {
+        const Extent &e = extents[k];
+        if (e.count == 0)
+            continue;
+        checkExtent(e.bno, e.count, e.count * bs);
+        inPlace[k] = !flipsPending && appendLiveImages(e, images);
+        flipsPending = false;
+    }
+    std::vector<std::uint8_t> clean;
+    findClean(images, clean);
+
+    // Phase 2, extent by extent in order.
     bool ok = true;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::span<std::uint8_t> blk =
-            out.subspan(static_cast<std::size_t>(i) * bs, bs);
-        if (!verifyOneBlock(bno + i, blk)) {
-            ++_unrepairableReads;
-            ok = false;
+    std::size_t j = 0;
+    for (std::size_t k = 0; k < extents.size(); ++k) {
+        const Extent &e = extents[k];
+        if (e.count == 0)
+            continue;
+        if (!inPlace[k]) {
+            copyBuf.resize(e.count * bs);
+            if (!verifiedReadRange(e.bno, e.count, copyBuf))
+                ok = false;
+            continue;
+        }
+        noteRead(e.count);
+        for (std::uint64_t i = 0; i < e.count; ++i, ++j) {
+            if (settle(e.bno + i, clean[j], repairOut) ==
+                Outcome::Poisoned) {
+                ++_unrepairableReads;
+                ok = false;
+            }
         }
     }
     return ok;
@@ -114,23 +163,83 @@ VerifyingDevice::flush()
     inner.flush();
 }
 
+void
+VerifyingDevice::findClean(std::span<const Image> images,
+                           std::vector<std::uint8_t> &clean) const
+{
+    const std::uint32_t bs = blockSize();
+    clean.assign(images.size(), 0);
+    auto check = [&](std::size_t i) {
+        const Image &img = images[i];
+        clean[i] = img.bytes && map.matches(img.bno, {img.bytes, bs});
+    };
+    if (images.size() * bs < minPoolBytes) {
+        for (std::size_t i = 0; i < images.size(); ++i)
+            check(i);
+    } else {
+        sim::HostPool::shared().forEach(images.size(), check);
+    }
+}
+
 bool
-VerifyingDevice::verifyOneBlock(std::uint64_t bno,
-                                std::span<std::uint8_t> blk)
+VerifyingDevice::appendLiveImages(const Extent &e,
+                                  std::vector<Image> &images) const
+{
+    if (!array)
+        return false;
+    const std::uint32_t bs = blockSize();
+    const std::size_t mark = images.size();
+    for (std::uint64_t b = e.bno; b < e.bno + e.count; ++b) {
+        const std::span<const std::uint8_t> live =
+            array->liveSpan(b * bs, bs);
+        if (live.empty()) {
+            images.resize(mark);
+            return false;
+        }
+        images.push_back({b, live.data()});
+    }
+    return true;
+}
+
+bool
+VerifyingDevice::checkCopied(std::uint64_t bno, std::uint64_t count,
+                             std::span<std::uint8_t> buf)
+{
+    const std::uint32_t bs = blockSize();
+    std::vector<Image> images(count);
+    for (std::uint64_t i = 0; i < count; ++i)
+        images[i] = {bno + i, buf.data() + i * bs};
+    std::vector<std::uint8_t> clean;
+    findClean(images, clean);
+
+    bool ok = true;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        if (settle(bno + i, clean[i], buf.subspan(i * bs, bs)) ==
+            Outcome::Poisoned) {
+            ++_unrepairableReads;
+            ok = false;
+        }
+    }
+    return ok;
+}
+
+VerifyingDevice::Outcome
+VerifyingDevice::settle(std::uint64_t bno, bool clean,
+                        std::span<std::uint8_t> blk)
 {
     ++_verifiedBlocks;
-    if (map.matches(bno, blk)) {
+    if (clean) {
         poisoned.erase(bno);
-        return true;
+        return Outcome::Clean;
     }
     ++_detected;
     if (repairBlock(bno, blk)) {
         ++_repairs;
         poisoned.erase(bno);
-        return true;
+        return Outcome::Repaired;
     }
     poisoned.insert(bno);
-    return false;
+    return Outcome::Poisoned;
 }
 
 template <typename Fn>
@@ -241,26 +350,42 @@ VerifyingDevice::ScrubSummary
 VerifyingDevice::scrubVerify(std::uint64_t bno, std::uint64_t count)
 {
     ScrubSummary s;
+    if (bno >= numBlocks())
+        return s;
+    count = std::min(count, numBlocks() - bno);
     const std::uint32_t bs = blockSize();
-    std::vector<std::uint8_t> blk(bs);
-    for (std::uint64_t i = 0; i < count && bno + i < numBlocks(); ++i) {
+
+    // Phase 1 hashes every block that has an in-place image; a block
+    // without one is read at its turn in phase 2, after the repairs
+    // before it, as a block-by-block scrub would read it.
+    std::vector<Image> images(count);
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::span<const std::uint8_t> live =
+            array ? array->liveSpan((bno + i) * bs, bs)
+                  : std::span<const std::uint8_t>{};
+        images[i] = {bno + i, live.empty() ? nullptr : live.data()};
+    }
+    std::vector<std::uint8_t> clean;
+    findClean(images, clean);
+
+    for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t b = bno + i;
         ++s.scanned;
-        inner.readRange(b, 1, {blk.data(), bs});
-        ++_verifiedBlocks;
-        if (map.matches(b, {blk.data(), bs})) {
-            poisoned.erase(b);
-            continue;
+        bool ok = clean[i];
+        if (!images[i].bytes) {
+            inner.readRange(b, 1, repairOut);
+            ok = map.matches(b, repairOut);
         }
-        ++_detected;
-        if (repairBlock(b, {blk.data(), bs})) {
-            ++_repairs;
+        switch (settle(b, ok, repairOut)) {
+          case Outcome::Clean:
+            break;
+          case Outcome::Repaired:
             ++_scrubRepairs;
             ++s.repaired;
-            poisoned.erase(b);
-        } else {
-            poisoned.insert(b);
+            break;
+          case Outcome::Poisoned:
             ++s.unrepairable;
+            break;
         }
     }
     return s;

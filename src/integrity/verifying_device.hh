@@ -19,6 +19,15 @@
  *      server surfaces as Status::DataCorrupt — honest refusal, never
  *      silent wrong data.
  *
+ * Every verify is a two-phase pass.  Phase 1 is pure and read-only
+ * and runs on the host pool (sim::HostPool): it finds which blocks
+ * hash clean, hashing healthy blocks in place on the member disks
+ * (raid::RaidArray::liveSpan) rather than copying them out.  Phase 2
+ * runs on the caller's thread in block order: it counts, clears
+ * poison, and sends every block that did not hash clean through the
+ * copy-and-repair ladder.  So detection, repair, poisoning and the
+ * verdict are exactly those of checking one block after another.
+ *
  * The device also hosts the transfer-corruption injection points:
  * armed one-shot bit flips applied to read buffers after the inner
  * read (SCSI/XBUS return path) or to one landed disk copy after a
@@ -55,7 +64,9 @@ class VerifyingDevice : public fs::BlockDevice
     };
 
     /** @p array enables the reconstruction step of the repair ladder
-     *  (nullptr: only the re-read step is available). */
+     *  and in-place hashing (nullptr: only the re-read step is
+     *  available, and every verify copies).  @p inner must be a view
+     *  of it: block b at logical byte b * blockSize(). */
     VerifyingDevice(fs::BlockDevice &inner, raid::RaidArray *array,
                     const Config &cfg);
     VerifyingDevice(fs::BlockDevice &inner, raid::RaidArray *array);
@@ -79,6 +90,24 @@ class VerifyingDevice : public fs::BlockDevice
      */
     bool verifiedReadRange(std::uint64_t bno, std::uint64_t count,
                            std::span<std::uint8_t> out);
+
+    /** A run of @p count consecutive blocks from @p bno. */
+    struct Extent
+    {
+        std::uint64_t bno = 0;
+        std::uint64_t count = 0;
+    };
+
+    /**
+     * Verify + repair every block of @p extents in place, without
+     * handing the bytes out (the server's check before a timed
+     * transfer ships them).  Detection, repair, poisoning, counters
+     * and @return are those of verifiedReadRange() over each extent
+     * in turn.  An extent with a block that has no in-place image, or
+     * that an armed read flip would hit, takes the copy path.  With
+     * Config::verifyReads off there is nothing to check: true.
+     */
+    bool verifyExtents(std::span<const Extent> extents);
 
     /** @{ One-shot transfer-corruption injection (FaultController). */
     void armReadCorruption(unsigned flips = 1) { _armedReadFlips += flips; }
@@ -123,9 +152,32 @@ class VerifyingDevice : public fs::BlockDevice
                        const std::string &prefix = "integrity") const;
 
   private:
-    /** Verify one block in @p blk (its read image); detect, repair,
-     *  poison.  @return true if @p blk now holds verified bytes. */
-    bool verifyOneBlock(std::uint64_t bno, std::span<std::uint8_t> blk);
+    /** Where a block's bytes lie for phase 1. */
+    struct Image
+    {
+        std::uint64_t bno;
+        const std::uint8_t *bytes;
+    };
+    /** Phase 1: clean[i] = 1 if images[i] matches its block's
+     *  checksum (or the block has none).  Pure and read-only, so it
+     *  runs on the host pool. */
+    void findClean(std::span<const Image> images,
+                   std::vector<std::uint8_t> &clean) const;
+    /** Append the in-place image of every block of @p e to @p images;
+     *  false (and @p images as it was) if some block has none. */
+    bool appendLiveImages(const Extent &e,
+                          std::vector<Image> &images) const;
+
+    enum class Outcome { Clean, Repaired, Poisoned };
+    /** Phase 2 for one block: count it and, unless phase 1 found it
+     *  @p clean, run the repair ladder (verified bytes land in @p blk)
+     *  and poison it if that fails. */
+    Outcome settle(std::uint64_t bno, bool clean,
+                   std::span<std::uint8_t> blk);
+    /** Both phases over @p count blocks from @p bno, read into
+     *  @p buf.  @return false if any block is unrepairable. */
+    bool checkCopied(std::uint64_t bno, std::uint64_t count,
+                     std::span<std::uint8_t> buf);
     /** The repair ladder (steps 1 and 2 above). */
     bool repairBlock(std::uint64_t bno, std::span<std::uint8_t> blk);
     /** Map [byte_off, byte_off+len) of the logical space onto member
@@ -144,6 +196,11 @@ class VerifyingDevice : public fs::BlockDevice
     ChecksumMap map;
     std::unordered_set<std::uint64_t> poisoned;
     std::vector<std::uint8_t> scratch;
+    /** A block's repaired bytes when nobody asked for them. */
+    std::vector<std::uint8_t> repairOut;
+    /** The copy-path image of an extent verifyExtents() cannot hash
+     *  in place. */
+    std::vector<std::uint8_t> copyBuf;
 
     unsigned _armedReadFlips = 0;
     unsigned _armedWriteFlips = 0;

@@ -166,8 +166,8 @@ Lfs::BlockMapCursor::entry(PointerBlock &pb, BlockAddr addr,
     if (addr == nullAddr)
         return nullAddr;
     if (pb.addr != addr) {
-        pb.bytes.resize(fs.sb.blockSize);
-        fs.readBlockAny(addr, {pb.bytes.data(), pb.bytes.size()});
+        pb.bytes.resize(bs);
+        read(addr, {pb.bytes.data(), pb.bytes.size()});
         pb.addr = addr;
     }
     BlockAddr value;
@@ -179,12 +179,12 @@ Lfs::BlockMapCursor::entry(PointerBlock &pb, BlockAddr addr,
 BlockAddr
 Lfs::BlockMapCursor::lookup(std::uint64_t fbno)
 {
-    const std::uint32_t p = ptrsPer(fs.sb.blockSize);
+    const std::uint32_t p = ptrsPer(bs);
     if (fbno < numDirect)
         return inode.direct[fbno];
     if (fbno < numDirect + p)
         return entry(leaf, inode.indirect, fbno - numDirect);
-    if (fbno < maxFileBlocks(fs.sb.blockSize)) {
+    if (fbno < maxFileBlocks(bs)) {
         const std::uint64_t rel = fbno - numDirect - p;
         return entry(leaf, entry(root, inode.dindirect, rel / p),
                      rel % p);
@@ -192,10 +192,19 @@ Lfs::BlockMapCursor::lookup(std::uint64_t fbno)
     throw LfsError(Errno::FileTooBig, "file block number out of range");
 }
 
+Lfs::BlockMapCursor
+Lfs::blockMap(const DiskInode &inode) const
+{
+    return BlockMapCursor(sb.blockSize, inode,
+                          [this](BlockAddr a, std::span<std::uint8_t> out) {
+                              readBlockAny(a, out);
+                          });
+}
+
 BlockAddr
 Lfs::getFileBlock(const DiskInode &inode, std::uint64_t fbno) const
 {
-    return BlockMapCursor(*this, inode).lookup(fbno);
+    return blockMap(inode).lookup(fbno);
 }
 
 namespace {

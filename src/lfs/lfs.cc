@@ -352,7 +352,7 @@ Lfs::readData(const DiskInode &inode, std::uint64_t off,
 
     const std::uint32_t bs = sb.blockSize;
     std::vector<std::uint8_t> blockbuf(bs);
-    BlockMapCursor map(*this, inode);
+    BlockMapCursor map = blockMap(inode);
     std::uint64_t pos = off;
     std::uint64_t left = n;
     while (left > 0) {
@@ -541,7 +541,7 @@ Lfs::mapFile(InodeNum ino, std::uint64_t off, std::uint64_t len) const
     len = std::min<std::uint64_t>(len, inode.size - off);
 
     const std::uint32_t bs = sb.blockSize;
-    BlockMapCursor map(*this, inode);
+    BlockMapCursor map = blockMap(inode);
     std::uint64_t pos = off;
     std::uint64_t left = len;
     while (left > 0) {

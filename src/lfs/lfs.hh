@@ -19,6 +19,7 @@
 #define RAID2_LFS_LFS_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -279,6 +280,48 @@ class Lfs
     /** Full consistency check (read-only). */
     FsckReport fsck() const;
 
+    /**
+     * The one walk from a file block number to its address, for the
+     * live file system and for snapshot views alike.  It reads
+     * pointer blocks with the reader it is given, and keeps the last
+     * leaf pointer block (the indirect block or a double-indirect
+     * child) and the double-indirect root it read, by address, so a
+     * walk over an extent reads each pointer block once.  It holds
+     * copies of pointer blocks: use it within one const call only,
+     * never across a write, setFileBlock, a clean or a flush.
+     */
+    class BlockMapCursor
+    {
+      public:
+        /** Reads the block at an address into a block-sized buffer. */
+        using BlockReader =
+            std::function<void(BlockAddr, std::span<std::uint8_t>)>;
+
+        BlockMapCursor(std::uint32_t block_size, const DiskInode &inode,
+                       BlockReader read)
+            : bs(block_size), inode(inode), read(std::move(read))
+        {
+        }
+        BlockAddr lookup(std::uint64_t fbno);
+
+      private:
+        struct PointerBlock
+        {
+            BlockAddr addr = nullAddr;
+            std::vector<std::uint8_t> bytes;
+        };
+        /** Entry @p idx of the pointer block at @p addr, reading it
+         *  into @p pb unless @p pb already holds it. */
+        BlockAddr entry(PointerBlock &pb, BlockAddr addr,
+                        std::uint64_t idx);
+
+        std::uint32_t bs;
+        const DiskInode &inode;
+        BlockReader read;
+        PointerBlock leaf;
+        PointerBlock root;
+    };
+
   private:
     friend class Cleaner;
 
@@ -314,40 +357,8 @@ class Lfs
     void freeInode(InodeNum ino);
     void flushInodes();
 
-    /**
-     * The one walk from a file block number to its address.  It keeps
-     * the last leaf pointer block (the indirect block or a
-     * double-indirect child) and the double-indirect root it read, by
-     * address, so a walk over an extent reads each pointer block once.
-     * It holds copies of pointer blocks: use it within one const call
-     * only, never across a write, setFileBlock, a clean or a flush.
-     */
-    class BlockMapCursor
-    {
-      public:
-        BlockMapCursor(const Lfs &fs, const DiskInode &inode)
-            : fs(fs), inode(inode)
-        {
-        }
-        BlockAddr lookup(std::uint64_t fbno);
-
-      private:
-        struct PointerBlock
-        {
-            BlockAddr addr = nullAddr;
-            std::vector<std::uint8_t> bytes;
-        };
-        /** Entry @p idx of the pointer block at @p addr, reading it
-         *  into @p pb unless @p pb already holds it. */
-        BlockAddr entry(PointerBlock &pb, BlockAddr addr,
-                        std::uint64_t idx);
-
-        const Lfs &fs;
-        const DiskInode &inode;
-        PointerBlock leaf;
-        PointerBlock root;
-    };
-
+    /** A BlockMapCursor over this file system's device. */
+    BlockMapCursor blockMap(const DiskInode &inode) const;
     /** One-shot BlockMapCursor lookup. */
     BlockAddr getFileBlock(const DiskInode &inode,
                            std::uint64_t fbno) const;

@@ -412,6 +412,21 @@ RaidArray::read(std::uint64_t off, std::span<std::uint8_t> out) const
     }
 }
 
+std::span<const std::uint8_t>
+RaidArray::liveSpan(std::uint64_t off, std::uint64_t len) const
+{
+    if (len == 0 || off >= capacity() || len > capacity() - off)
+        return {};
+    unsigned d = 0;
+    std::uint64_t doff = 0;
+    _layout.mapByte(off, d, doff);
+    const std::uint64_t unit = _layout.unitBytes();
+    if (doff % unit + len > unit || doff + len > diskBytes ||
+        isFailed(d) || latentOverlaps(d, doff, len))
+        return {};
+    return {disk(d) + doff, static_cast<std::size_t>(len)};
+}
+
 void
 RaidArray::injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
 {

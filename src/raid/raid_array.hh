@@ -57,6 +57,16 @@ class RaidArray
      *  living on a failed disk from the survivors. */
     void read(std::uint64_t off, std::span<std::uint8_t> out) const;
 
+    /** The member-disk bytes read() would copy for logical [off,
+     *  off+len), in place: non-empty only when the range is one
+     *  stripe-unit run on a live disk with no latent range.  Empty
+     *  otherwise (a failed disk, a latent range, a range that crosses
+     *  units — RAID-3's sector units — or one past the array's end),
+     *  and the caller must read() instead.  Valid until the next
+     *  mutating call. */
+    std::span<const std::uint8_t> liveSpan(std::uint64_t off,
+                                           std::uint64_t len) const;
+
     /** Mark a disk failed (its contents are destroyed). */
     void failDisk(unsigned d) { state->failDisk(d); }
 

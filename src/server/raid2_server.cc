@@ -494,20 +494,17 @@ Raid2Server::verifyRanges(const std::vector<Range> &ranges,
 {
     if (!cfg.withIntegrity)
         return true;
-    bool ok = true;
     const std::uint32_t bs = verifyDev->blockSize();
+    std::vector<integrity::VerifyingDevice::Extent> extents;
+    extents.reserve(ranges.size());
     for (const Range &r : ranges) {
         const std::uint64_t b0 = r.off / bs;
         const std::uint64_t b1 = std::min((r.off + r.len + bs - 1) / bs,
                                           verifyDev->numBlocks());
-        if (b0 >= b1)
-            continue;
-        _verifyScratch.resize((b1 - b0) * bs);
-        if (!verifyDev->verifiedReadRange(
-                b0, b1 - b0,
-                {_verifyScratch.data(), _verifyScratch.size()}))
-            ok = false;
+        if (b0 < b1)
+            extents.push_back({b0, b1 - b0});
     }
+    const bool ok = verifyDev->verifyExtents(extents);
     if (!ok) {
         ++_corruptReads;
         if (auto *t = eq.tracer())

@@ -301,9 +301,10 @@ class Raid2Server
     /** The non-hole device ranges behind [off, off+len) of @p ino. */
     std::vector<Range> mapRanges(lfs::InodeNum ino, std::uint64_t off,
                                  std::uint64_t len);
-    /** Verify the functional bytes of @p ranges with read-repair;
-     *  @return false on unrepairable corruption (counted as a corrupt
-     *  read of @p len bytes).  True when integrity is off. */
+    /** Verify the functional bytes of @p ranges in place with
+     *  read-repair, all in one pass; @return false on unrepairable
+     *  corruption (counted as a corrupt read of @p len bytes).  True
+     *  when integrity is off. */
     bool verifyRanges(const std::vector<Range> &ranges,
                       std::uint64_t len);
     /** Scrubber VerifyHook: checksum-verify the logical blocks the
@@ -360,7 +361,6 @@ class Raid2Server
     std::vector<std::uint8_t> _writeScratch;
 
     /** @{ Integrity-path state. */
-    std::vector<std::uint8_t> _verifyScratch;
     unsigned _netFlipsArmed = 0;
     std::uint64_t _netRetransmits = 0;
     std::uint64_t _corruptReads = 0;

@@ -111,42 +111,6 @@ SnapshotView::getInode(InodeNum ino) const
     return inode;
 }
 
-BlockAddr
-SnapshotView::fileBlock(const DiskInode &inode, std::uint64_t fbno) const
-{
-    const std::uint32_t p = sb.blockSize / sizeof(BlockAddr);
-    if (fbno < lfs::numDirect)
-        return inode.direct[fbno];
-
-    std::vector<std::uint8_t> block(sb.blockSize);
-    if (fbno < lfs::numDirect + p) {
-        if (inode.indirect == lfs::nullAddr)
-            return lfs::nullAddr;
-        readBlock(inode.indirect, {block.data(), block.size()});
-        BlockAddr addr;
-        std::memcpy(&addr,
-                    block.data() + (fbno - lfs::numDirect) * sizeof(addr),
-                    sizeof(addr));
-        return addr;
-    }
-    if (inode.dindirect == lfs::nullAddr)
-        return lfs::nullAddr;
-    const std::uint64_t rel = fbno - lfs::numDirect - p;
-    const std::uint64_t ci = rel / p;
-    const std::uint64_t idx = rel % p;
-    if (ci >= p)
-        throw LfsError(Errno::FileTooBig, "file block number out of range");
-    readBlock(inode.dindirect, {block.data(), block.size()});
-    BlockAddr child;
-    std::memcpy(&child, block.data() + ci * sizeof(child), sizeof(child));
-    if (child == lfs::nullAddr)
-        return lfs::nullAddr;
-    readBlock(child, {block.data(), block.size()});
-    BlockAddr addr;
-    std::memcpy(&addr, block.data() + idx * sizeof(addr), sizeof(addr));
-    return addr;
-}
-
 std::uint64_t
 SnapshotView::readData(const DiskInode &inode, std::uint64_t off,
                        std::span<std::uint8_t> out) const
@@ -157,6 +121,11 @@ SnapshotView::readData(const DiskInode &inode, std::uint64_t off,
         std::min<std::uint64_t>(out.size(), inode.size - off);
 
     std::vector<std::uint8_t> block(sb.blockSize);
+    lfs::Lfs::BlockMapCursor map(
+        sb.blockSize, inode,
+        [this](BlockAddr a, std::span<std::uint8_t> buf) {
+            readBlock(a, buf);
+        });
     std::uint64_t done = 0;
     while (done < n) {
         const std::uint64_t pos = off + done;
@@ -166,7 +135,7 @@ SnapshotView::readData(const DiskInode &inode, std::uint64_t off,
         const std::uint32_t chunk = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(sb.blockSize - in_block, n - done));
 
-        const BlockAddr addr = fileBlock(inode, fbno);
+        const BlockAddr addr = map.lookup(fbno);
         if (addr == lfs::nullAddr) {
             std::memset(out.data() + done, 0, chunk);
         } else {

@@ -65,8 +65,6 @@ class SnapshotView
 
   private:
     lfs::DiskInode getInode(lfs::InodeNum ino) const;
-    lfs::BlockAddr fileBlock(const lfs::DiskInode &inode,
-                             std::uint64_t fbno) const;
     std::uint64_t readData(const lfs::DiskInode &inode, std::uint64_t off,
                            std::span<std::uint8_t> out) const;
     std::vector<lfs::DirEntry>

@@ -215,7 +215,8 @@ TEST(RefFs, SnapshotTableMirrorsLfsLimits)
     EXPECT_FALSE(m.valid(op(Op::Kind::SnapCreate, "s0"))); // duplicate
     EXPECT_TRUE(m.valid(op(Op::Kind::SnapDelete, "s0")));
     for (unsigned i = 1; i < 8; ++i)
-        m.apply(op(Op::Kind::SnapCreate, "s" + std::to_string(i)));
+        m.apply(op(Op::Kind::SnapCreate,
+                   std::string("s").append(std::to_string(i))));
     EXPECT_FALSE(m.valid(op(Op::Kind::SnapCreate, "s8"))); // full
     m.apply(op(Op::Kind::SnapDelete, "s3"));
     EXPECT_TRUE(m.valid(op(Op::Kind::SnapCreate, "s8")));

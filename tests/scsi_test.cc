@@ -30,7 +30,7 @@ struct StringRig
     {
         for (unsigned i = 0; i < n; ++i) {
             disks.push_back(std::make_unique<disk::DiskModel>(
-                eq, "d" + std::to_string(disks.size()),
+                eq, std::string("d").append(std::to_string(disks.size())),
                 disk::ibm0661()));
             cougar.string(string_idx).attach(disks.back().get());
             channels.push_back(std::make_unique<scsi::DiskChannel>(
@@ -73,7 +73,8 @@ TEST(ScsiString, AttachLimitIsSevenTargets)
     std::vector<std::unique_ptr<disk::DiskModel>> disks;
     for (int i = 0; i < 7; ++i) {
         disks.push_back(std::make_unique<disk::DiskModel>(
-            eq, "d" + std::to_string(i), disk::ibm0661()));
+            eq, std::string("d").append(std::to_string(i)),
+            disk::ibm0661()));
         s.attach(disks.back().get());
     }
     EXPECT_EQ(s.disks().size(), 7u);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -110,6 +111,36 @@ TEST(SnapshotView, PointInTimeReadsSurviveOverwrites)
     // The live file system sees only the new state.
     EXPECT_EQ(fs.stat("/a").size, a1.size());
     EXPECT_THROW(fs.stat("/d/b"), lfs::LfsError);
+}
+
+TEST(SnapshotView, ReadWalksEachPointerBlockOnce)
+{
+    // A 512 KB read past the direct blocks walks the block map with
+    // one cursor: the indirect block is read once, not once per data
+    // block.
+    lfs::Lfs::Params p;
+    p.blockSize = 4096;
+    p.segBlocks = 64;
+    p.maxInodes = 64;
+    fs::MemBlockDevice dev(4096, 4096); // 16 MB
+    lfs::Lfs::format(dev, p);
+    lfs::Lfs fs(dev);
+    const auto data = fill(1024 * 1024, 4);
+    fs.create("/f");
+    const lfs::InodeNum ino = fs.lookup("/f");
+    fs.write(ino, 0, {data.data(), data.size()});
+    fs.takeSnapshot("s");
+    const snap::SnapshotView view(dev, *fs.findSnapshot("s"));
+
+    // File blocks 16..143: all mapped through the indirect block.
+    constexpr std::uint64_t off = 64 * 1024, len = 512 * 1024;
+    std::vector<std::uint8_t> out(len);
+    const std::uint64_t before = dev.readsStat().value();
+    ASSERT_EQ(view.read(ino, off, {out.data(), out.size()}), len);
+    const std::uint64_t reads = dev.readsStat().value() - before;
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin() + off));
+    // 128 data blocks, the inode's block, at most 2 pointer blocks.
+    EXPECT_LE(reads, 128u + 1 + 2);
 }
 
 TEST(SnapshotProperty, CleanerNeverReclaimsPinnedSegments)
