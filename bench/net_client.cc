@@ -19,6 +19,7 @@
 #include "net/client_model.hh"
 #include "net/ultranet.hh"
 #include "server/file_protocol.hh"
+#include "server/request_scheduler.hh"
 #include "sim/event_queue.hh"
 
 using namespace raid2;
@@ -39,8 +40,10 @@ run(bool reads, bool polling_driver, bench::Reporter *rep = nullptr)
     server::Raid2Server srv(eq, "srv", cfg);
     net::UltranetFabric ultranet(eq, "ultra");
     net::ClientModel client(eq, "sparc10");
+    server::RequestScheduler sched(eq, srv);
     server::RaidFileClient::Config pcfg;
     pcfg.pollingDriver = polling_driver;
+    pcfg.scheduler = &sched;
     server::RaidFileClient lib(eq, srv, client, ultranet, pcfg);
 
     sim::StatsRegistry reg;

@@ -18,6 +18,7 @@
 #include "net/ultranet.hh"
 #include "server/file_protocol.hh"
 #include "server/raid2_server.hh"
+#include "server/request_scheduler.hh"
 #include "sim/event_queue.hh"
 
 using namespace raid2;
@@ -39,7 +40,15 @@ serveFile(std::uint64_t bytes)
     server::Raid2Server server(eq, "srv", cfg);
     net::UltranetFabric ultranet(eq, "ultra");
     net::ClientModel client(eq, "ws");
-    server::RaidFileClient lib(eq, server, client, ultranet);
+    // Every size rides the fast path here (no op is small enough for
+    // the front end to send it over the Ethernet), so the two columns
+    // compare the two paths at each file size.
+    server::RequestScheduler::Config scfg;
+    scfg.smallOpBytes = 0;
+    server::RequestScheduler sched(eq, server, scfg);
+    server::RaidFileClient::Config ccfg;
+    ccfg.scheduler = &sched;
+    server::RaidFileClient lib(eq, server, client, ultranet, ccfg);
 
     const auto ino = server.createFile("/file");
     std::vector<std::uint8_t> data(bytes, 0x11);

@@ -196,7 +196,7 @@ struct Runner
         tree["/"] = root;
         cap.versions.push_back(tree);
 
-        srv->fsHookDevice().attachWriteLog(&cap.log);
+        srv->fsDevice().attachWriteLog(&cap.log);
         srv->setFsOpObserver(
             [this](const server::Raid2Server::FsOp &op) {
                 onFsOp(op);
@@ -222,7 +222,7 @@ struct Runner
         ++mutableStats().histories;
 
         srv->setFsOpObserver(nullptr);
-        srv->fsHookDevice().attachWriteLog(nullptr);
+        srv->fsDevice().attachWriteLog(nullptr);
         return std::move(cap);
     }
 

@@ -109,6 +109,11 @@ constexpr std::uint64_t ethernetMTU = 1500;
 constexpr double clientWriteMBs = 3.1;
 constexpr double clientReadMBs = 3.2;
 
+/** Round trip of a client's command exchange (socket + Sprite RPC on
+ *  the host) before each raid_open/raid_read/raid_write reaches the
+ *  server (§3.3); a modelling assumption, the paper gives no figure. */
+constexpr Tick clientCommandRtt = msToTicks(1.0);
+
 // ---------------------------------------------------------------------
 // Host workstation: Sun 4/280 (§1)
 // ---------------------------------------------------------------------

@@ -1,24 +1,23 @@
 #include "server/file_protocol.hh"
 
+#include <algorithm>
 #include <utility>
 
+#include "config/calibration.hh"
 #include "sim/logging.hh"
 
 namespace raid2::server {
 
 namespace {
 
-using ServiceClass = RequestScheduler::ServiceClass;
 using OpKind = RequestScheduler::OpKind;
 
-ServiceClass
-classFor(const RequestScheduler *sched, OpKind kind, std::uint64_t len)
+RequestScheduler &
+requireScheduler(const RaidFileClient::Config &cfg)
 {
-    if (kind == OpKind::Open)
-        return ServiceClass::Standard;
-    if (sched && len <= sched->config().smallOpBytes)
-        return ServiceClass::Standard;
-    return ServiceClass::FastPath;
+    if (!cfg.scheduler)
+        sim::fatal("RaidFileClient: no RequestScheduler configured");
+    return *cfg.scheduler;
 }
 
 } // namespace
@@ -26,28 +25,30 @@ classFor(const RequestScheduler *sched, OpKind kind, std::uint64_t len)
 RaidFileClient::RaidFileClient(sim::EventQueue &eq_, Raid2Server &server_,
                                net::ClientModel &client_,
                                net::UltranetFabric &net_,
-                               const Config &cfg_)
-    : eq(eq_), server(server_), client(client_), net(net_), cfg(cfg_)
-{
-    if (cfg.scheduler)
-        _session = cfg.scheduler->allocSession();
-}
-
-RaidFileClient::RaidFileClient(sim::EventQueue &eq_, Raid2Server &server_,
-                               net::ClientModel &client_,
-                               net::UltranetFabric &net_)
-    : RaidFileClient(eq_, server_, client_, net_, Config{})
+                               const Config &cfg)
+    : eq(eq_), server(server_), client(client_), net(net_),
+      sched(requireScheduler(cfg)), pollingDriver(cfg.pollingDriver),
+      _session(sched.allocSession())
 {
 }
 
 void
 RaidFileClient::completeLocal(Result res, Completion done)
 {
-    eq.scheduleIn(cfg.commandRtt,
+    eq.scheduleIn(cal::clientCommandRtt,
                   [this, res, done = std::move(done)]() mutable {
                       res.completed = eq.now();
                       if (done)
                           done(res);
+                  });
+}
+
+void
+RaidFileClient::submit(RequestScheduler::Request r)
+{
+    eq.scheduleIn(cal::clientCommandRtt,
+                  [this, r = std::move(r)]() mutable {
+                      sched.submit(std::move(r));
                   });
 }
 
@@ -65,110 +66,80 @@ RaidFileClient::writeInStages()
             sim::Stage(server.board().hippiDstPort())};
 }
 
-// ---------------------------------------------------------------------
-// Open
-// ---------------------------------------------------------------------
-
 void
 RaidFileClient::raidOpen(const std::string &path, bool create,
                          Completion done)
 {
     client.chargeRequestCost();
+    RequestScheduler::Request r;
+    r.session = _session;
+    r.kind = OpKind::Open;
+    r.path = path;
+    r.create = create;
+
     Result res;
     res.issued = eq.now();
-    res.cls = ServiceClass::Standard;
-
-    if (cfg.scheduler) {
-        RequestScheduler::Request r;
-        r.session = _session;
-        r.kind = OpKind::Open;
-        r.path = path;
-        r.create = create;
-        r.done = [this, res, done = std::move(done)](
-                     Status st, lfs::InodeNum ino) mutable {
-            res.status = st;
-            res.completed = eq.now();
-            if (st == Status::Ok) {
-                const Handle h = nextHandle++;
-                open[h] = OpenFile{ino, 0};
-                res.handle = h;
-            }
-            if (done)
-                done(res);
-        };
-        eq.scheduleIn(cfg.commandRtt,
-                      [this, r = std::move(r)]() mutable {
-                          cfg.scheduler->submit(std::move(r));
-                      });
-        return;
-    }
-
-    eq.scheduleIn(cfg.commandRtt, [this, path, create, res,
-                                   done = std::move(done)]() mutable {
-        lfs::InodeNum ino;
-        if (server.fs().exists(path)) {
-            ino = server.fs().lookup(path);
-        } else if (create) {
-            ino = server.fs().create(path);
-        } else {
-            res.status = Status::NotFound;
-            res.completed = eq.now();
-            if (done)
-                done(res);
-            return;
-        }
-        const Handle h = nextHandle++;
-        open[h] = OpenFile{ino, 0};
-        res.handle = h;
+    res.cls = sched.classify(r);
+    r.done = [this, res, done = std::move(done)](
+                 Status st, lfs::InodeNum ino) mutable {
+        res.status = st;
         res.completed = eq.now();
+        if (st == Status::Ok) {
+            const Handle h = nextHandle++;
+            open[h] = OpenFile{ino, 0};
+            res.handle = h;
+        }
         if (done)
             done(res);
-    });
-}
-
-// ---------------------------------------------------------------------
-// Read
-// ---------------------------------------------------------------------
-
-void
-RaidFileClient::directRead(lfs::InodeNum ino, std::uint64_t off,
-                           std::uint64_t n,
-                           std::function<void(bool)> done)
-{
-    // Command exchange already paid; the server reads through the
-    // high-bandwidth path: array -> XBUS memory -> HIPPI source ->
-    // Ultranet -> client NIC.
-    if (cfg.pollingDriver) {
-        // The host busy-waits while the source board transmits.
-        server.host().cpu().submitBusyTime(
-            sim::transferTicks(n, cal::clientReadMBs), nullptr);
-    }
-    server.fileRead(ino, off, n, std::move(done), readOutStages(),
-                    cal::hippiSetupOverhead);
+    };
+    submit(std::move(r));
 }
 
 void
-RaidFileClient::issueRead(Handle h, lfs::InodeNum ino, std::uint64_t off,
-                          std::uint64_t len, bool advance,
-                          Completion done)
+RaidFileClient::issue(OpKind kind, Handle h,
+                      std::optional<std::uint64_t> at, std::uint64_t len,
+                      Completion done)
 {
+    client.chargeRequestCost();
+    RequestScheduler::Request r;
+    r.session = _session;
+    r.kind = kind;
+    r.len = len;
+
     Result res;
     res.issued = eq.now();
-    res.cls = classFor(cfg.scheduler, OpKind::Read, len);
-
-    const std::uint64_t size = server.fs().statIno(ino).size;
-    const std::uint64_t n =
-        off >= size ? 0 : std::min<std::uint64_t>(len, size - off);
-    if (n == 0) {
-        // Reading at EOF is a success with zero bytes; it never
-        // travels the data path.
-        res.bytes = 0;
+    const auto it = open.find(h);
+    if (it == open.end()) {
+        res.status = Status::BadHandle;
+        res.cls = sched.classify(r);
         completeLocal(res, std::move(done));
         return;
     }
 
-    auto complete = [this, h, off, n, advance, res,
-                     done = std::move(done)](Status st) mutable {
+    r.ino = it->second.ino;
+    r.off = at.value_or(it->second.pos);
+    if (kind == OpKind::Read) {
+        const std::uint64_t size = server.fs().statIno(r.ino).size;
+        r.len = r.off >= size ? 0 : std::min(len, size - r.off);
+        r.outStages = readOutStages();
+        if (pollingDriver) {
+            // The host busy-waits while the source board transmits.
+            r.hostBusyTicks =
+                sim::transferTicks(r.len, cal::clientReadMBs);
+        }
+    } else {
+        r.inStages = writeInStages();
+    }
+    res.cls = sched.classify(r);
+    if (kind == OpKind::Read && r.len == 0) {
+        // Reading at EOF is a success with zero bytes; it never
+        // travels the data path.
+        completeLocal(res, std::move(done));
+        return;
+    }
+
+    r.done = [this, h, off = r.off, n = r.len, advance = !at, res,
+              done = std::move(done)](Status st, lfs::InodeNum) mutable {
         res.status = st;
         res.bytes = st == Status::Ok ? n : 0;
         res.completed = eq.now();
@@ -180,172 +151,33 @@ RaidFileClient::issueRead(Handle h, lfs::InodeNum ino, std::uint64_t off,
         if (done)
             done(res);
     };
-
-    if (cfg.scheduler) {
-        RequestScheduler::Request r;
-        r.session = _session;
-        r.kind = OpKind::Read;
-        r.ino = ino;
-        r.off = off;
-        r.len = n;
-        r.outStages = readOutStages();
-        if (cfg.pollingDriver)
-            r.hostBusyTicks = sim::transferTicks(n, cal::clientReadMBs);
-        r.done = [complete = std::move(complete)](
-                     Status st, lfs::InodeNum) mutable { complete(st); };
-        eq.scheduleIn(cfg.commandRtt,
-                      [this, r = std::move(r)]() mutable {
-                          cfg.scheduler->submit(std::move(r));
-                      });
-        return;
-    }
-
-    eq.scheduleIn(cfg.commandRtt, [this, ino, off, n,
-                                   complete =
-                                       std::move(complete)]() mutable {
-        directRead(ino, off, n,
-                   [complete = std::move(complete)](bool ok) mutable {
-                       complete(ok ? Status::Ok : Status::DataCorrupt);
-                   });
-    });
+    submit(std::move(r));
 }
 
 void
 RaidFileClient::raidRead(Handle h, std::uint64_t len, Completion done)
 {
-    client.chargeRequestCost();
-    const auto it = open.find(h);
-    if (it == open.end()) {
-        Result res;
-        res.issued = eq.now();
-        res.status = Status::BadHandle;
-        res.cls = classFor(cfg.scheduler, OpKind::Read, len);
-        completeLocal(res, std::move(done));
-        return;
-    }
-    issueRead(h, it->second.ino, it->second.pos, len, /*advance=*/true,
-              std::move(done));
+    issue(OpKind::Read, h, std::nullopt, len, std::move(done));
 }
 
 void
 RaidFileClient::raidPRead(Handle h, std::uint64_t off, std::uint64_t len,
                           Completion done)
 {
-    client.chargeRequestCost();
-    const auto it = open.find(h);
-    if (it == open.end()) {
-        Result res;
-        res.issued = eq.now();
-        res.status = Status::BadHandle;
-        res.cls = classFor(cfg.scheduler, OpKind::Read, len);
-        completeLocal(res, std::move(done));
-        return;
-    }
-    issueRead(h, it->second.ino, off, len, /*advance=*/false,
-              std::move(done));
-}
-
-// ---------------------------------------------------------------------
-// Write
-// ---------------------------------------------------------------------
-
-void
-RaidFileClient::directWrite(lfs::InodeNum ino, std::uint64_t off,
-                            std::uint64_t len, std::function<void()> done)
-{
-    // Client NIC -> Ultranet -> HIPPI destination -> XBUS memory, then
-    // the LFS write path buffers and flushes segments.
-    sim::Pipeline::start(eq, writeInStages(), len, cal::xbusChunkBytes,
-                         [this, ino, off, len,
-                          done = std::move(done)]() mutable {
-                             server.fileWrite(ino, off, len,
-                                              std::move(done));
-                         });
-}
-
-void
-RaidFileClient::issueWrite(Handle h, lfs::InodeNum ino, std::uint64_t off,
-                           std::uint64_t len, bool advance,
-                           Completion done)
-{
-    Result res;
-    res.issued = eq.now();
-    res.cls = classFor(cfg.scheduler, OpKind::Write, len);
-
-    auto complete = [this, h, off, len, advance, res,
-                     done = std::move(done)](Status st) mutable {
-        res.status = st;
-        res.bytes = st == Status::Ok ? len : 0;
-        res.completed = eq.now();
-        if (st == Status::Ok && advance) {
-            const auto it = open.find(h);
-            if (it != open.end())
-                it->second.pos = off + len;
-        }
-        if (done)
-            done(res);
-    };
-
-    if (cfg.scheduler) {
-        RequestScheduler::Request r;
-        r.session = _session;
-        r.kind = OpKind::Write;
-        r.ino = ino;
-        r.off = off;
-        r.len = len;
-        r.inStages = writeInStages();
-        r.done = [complete = std::move(complete)](
-                     Status st, lfs::InodeNum) mutable { complete(st); };
-        eq.scheduleIn(cfg.commandRtt,
-                      [this, r = std::move(r)]() mutable {
-                          cfg.scheduler->submit(std::move(r));
-                      });
-        return;
-    }
-
-    eq.scheduleIn(cfg.commandRtt, [this, ino, off, len,
-                                   complete =
-                                       std::move(complete)]() mutable {
-        directWrite(ino, off, len,
-                    [complete = std::move(complete)]() mutable {
-                        complete(Status::Ok);
-                    });
-    });
+    issue(OpKind::Read, h, off, len, std::move(done));
 }
 
 void
 RaidFileClient::raidWrite(Handle h, std::uint64_t len, Completion done)
 {
-    client.chargeRequestCost();
-    const auto it = open.find(h);
-    if (it == open.end()) {
-        Result res;
-        res.issued = eq.now();
-        res.status = Status::BadHandle;
-        res.cls = classFor(cfg.scheduler, OpKind::Write, len);
-        completeLocal(res, std::move(done));
-        return;
-    }
-    issueWrite(h, it->second.ino, it->second.pos, len, /*advance=*/true,
-               std::move(done));
+    issue(OpKind::Write, h, std::nullopt, len, std::move(done));
 }
 
 void
 RaidFileClient::raidPWrite(Handle h, std::uint64_t off, std::uint64_t len,
                            Completion done)
 {
-    client.chargeRequestCost();
-    const auto it = open.find(h);
-    if (it == open.end()) {
-        Result res;
-        res.issued = eq.now();
-        res.status = Status::BadHandle;
-        res.cls = classFor(cfg.scheduler, OpKind::Write, len);
-        completeLocal(res, std::move(done));
-        return;
-    }
-    issueWrite(h, it->second.ino, off, len, /*advance=*/false,
-               std::move(done));
+    issue(OpKind::Write, h, off, len, std::move(done));
 }
 
 // ---------------------------------------------------------------------

@@ -11,14 +11,13 @@
  * through server HIPPI -> Ultranet ring -> client NIC.
  *
  * Every operation completes with a single Result record (status,
- * bytes, handle, issue/complete ticks).  When a RequestScheduler is
- * attached (Config::scheduler) operations flow through the server
- * front end — bounded admission queues, per-session fairness, and the
- * §2.1.1 class split (bulk ops over the HIPPI fast path, metadata and
- * small ops over the Ethernet standard path) — and may complete with
- * Status::Busy or Status::Throttled, which the caller should retry
- * after a backoff.  Without a scheduler, operations hit the datapath
- * directly, as a lone client on an idle server would.
+ * bytes, handle, issue/complete ticks, service class).  Operations
+ * flow through the server front end, a RequestScheduler the client
+ * is given in Config::scheduler: bounded admission queues,
+ * per-session fairness, and the §2.1.1 class split (bulk ops over the
+ * HIPPI fast path, metadata and small ops over the Ethernet standard
+ * path).  They may complete with Status::Busy or Status::Throttled,
+ * which the caller should retry after a backoff.
  */
 
 #ifndef RAID2_SERVER_FILE_PROTOCOL_HH
@@ -59,7 +58,8 @@ class RaidFileClient
         sim::Tick issued = 0;
         /** Tick the completion fired. */
         sim::Tick completed = 0;
-        /** Class the op was (or would have been) scheduled under. */
+        /** Class the op was (or would have been) scheduled under,
+         *  as RequestScheduler::classify decides it. */
         RequestScheduler::ServiceClass cls =
             RequestScheduler::ServiceClass::FastPath;
 
@@ -75,22 +75,19 @@ class RaidFileClient
 
     struct Config
     {
-        /** Round-trip command latency for open/close and per-request
-         *  command exchange (socket + Sprite-RPC on the host). */
-        sim::Tick commandRtt = sim::msToTicks(1.0);
         /** Host CPU polls during sends with the initial network driver
          *  (§3.4) instead of taking interrupts. */
         bool pollingDriver = false;
-        /** Route operations through the server front end.  The client
-         *  allocates its scheduler session in the constructor. */
+        /** The server front end every operation goes through
+         *  (required).  The client allocates its scheduler session in
+         *  the constructor. */
         RequestScheduler *scheduler = nullptr;
     };
 
+    /** sim::fatal when @p cfg names no scheduler. */
     RaidFileClient(sim::EventQueue &eq, Raid2Server &server,
                    net::ClientModel &client, net::UltranetFabric &net,
                    const Config &cfg);
-    RaidFileClient(sim::EventQueue &eq, Raid2Server &server,
-                   net::ClientModel &client, net::UltranetFabric &net);
 
     /**
      * Open (or create) a file.  Completes with Result::handle set on
@@ -128,7 +125,7 @@ class RaidFileClient
      *  never-opened handle (the Status::BadHandle case). */
     std::optional<std::uint64_t> position(Handle h) const;
 
-    /** The scheduler session this client was assigned (0 if direct). */
+    /** The scheduler session this client was assigned. */
     std::uint32_t session() const { return _session; }
 
   private:
@@ -141,19 +138,15 @@ class RaidFileClient
     /** Complete locally (bad handle, EOF) after the command RTT. */
     void completeLocal(Result res, Completion done);
 
-    /** Issue a read/write; when @p advance_from points at an open
-     *  file, the cursor advances on successful completion. */
-    void issueRead(Handle h, lfs::InodeNum ino, std::uint64_t off,
-                   std::uint64_t len, bool advance, Completion done);
-    void issueWrite(Handle h, lfs::InodeNum ino, std::uint64_t off,
-                    std::uint64_t len, bool advance, Completion done);
+    /** Issue a read or write on @p h at @p at, or at the handle's
+     *  position (which then advances on success) when @p at is
+     *  empty. */
+    void issue(RequestScheduler::OpKind kind, Handle h,
+               std::optional<std::uint64_t> at, std::uint64_t len,
+               Completion done);
 
-    /** @{ Direct (scheduler-less) datapath issue, post-RTT. */
-    void directRead(lfs::InodeNum ino, std::uint64_t off,
-                    std::uint64_t n, std::function<void(bool ok)> done);
-    void directWrite(lfs::InodeNum ino, std::uint64_t off,
-                     std::uint64_t len, std::function<void()> done);
-    /** @} */
+    /** Hand @p r to the scheduler after the command RTT. */
+    void submit(RequestScheduler::Request r);
 
     std::vector<sim::Stage> readOutStages();
     std::vector<sim::Stage> writeInStages();
@@ -162,8 +155,9 @@ class RaidFileClient
     Raid2Server &server;
     net::ClientModel &client;
     net::UltranetFabric &net;
-    Config cfg;
-    std::uint32_t _session = 0;
+    RequestScheduler &sched;
+    bool pollingDriver;
+    std::uint32_t _session;
 
     std::map<Handle, OpenFile> open;
     Handle nextHandle = 1;

@@ -27,18 +27,19 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
 
     if (cfg.withFs) {
         // Functional RAID twin sized so its data capacity covers the
-        // file-system device (whole stripes; geometry and fault state
-        // shared with the timed array, whose layout carries the disk
-        // count the topology resolved).  Disks are sized in the layout's own
-        // unit: RAID-3 interleaves sectors, not stripeUnitBytes.
+        // file-system device in whole stripes of the timed array's
+        // layout (which carries the disk count the topology resolved);
+        // fault state is shared with the timed array.  Disks are sized
+        // in the layout's own unit: RAID-3 interleaves sectors, not
+        // stripeUnitBytes.
+        const raid::RaidLayout &geom = _array->layout();
         raid::LayoutConfig lcfg = cfg.layout;
-        lcfg.numDisks = _array->layout().numDisks();
-        const raid::RaidLayout probe(lcfg, lcfg.stripeUnitBytes);
-        const std::uint64_t sdb = probe.stripeDataBytes();
+        lcfg.numDisks = geom.numDisks();
+        const std::uint64_t sdb = geom.stripeDataBytes();
         const std::uint64_t stripes =
             (cfg.fsDeviceBytes + sdb - 1) / sdb;
         _functional = std::make_unique<raid::RaidArray>(
-            lcfg, stripes * probe.unitBytes(), &_array->faultState());
+            lcfg, stripes * geom.unitBytes(), &_array->faultState());
     }
 
     if (cfg.withReliability) {
@@ -122,17 +123,8 @@ Raid2Server::fs()
     return *_fs;
 }
 
-fs::BlockDevice &
-Raid2Server::fsDevice()
-{
-    if (!hookDev)
-        sim::fatal("Raid2Server %s: configured without a file system",
-                   _name.c_str());
-    return *hookDev;
-}
-
 fs::HookBlockDevice &
-Raid2Server::fsHookDevice()
+Raid2Server::fsDevice()
 {
     if (!hookDev)
         sim::fatal("Raid2Server %s: configured without a file system",

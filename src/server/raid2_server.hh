@@ -225,11 +225,10 @@ class Raid2Server
     // -----------------------------------------------------------------
 
     /** The functional LFS device (reads return exactly the log bytes
-     *  the file system wrote; writes mirror into the timed plane). */
-    fs::BlockDevice &fsDevice();
-    /** Same device, typed: for attaching a fs::WriteLog capture
-     *  (model checking) next to the write-mirroring hook. */
-    fs::HookBlockDevice &fsHookDevice();
+     *  the file system wrote; writes mirror into the timed plane).
+     *  Typed as the hook device so a fs::WriteLog capture (model
+     *  checking) can attach next to the write-mirroring hook. */
+    fs::HookBlockDevice &fsDevice();
     /** The functional device bypassing the write-mirroring hook — for
      *  restore writes whose array timing the BackupEngine models
      *  itself.  This is the verifying device, so with

@@ -169,8 +169,10 @@ TEST(ClientFleet, CloseDuringInFlightPositionalOpKeepsCompletion)
     Raid2Server srv(eq, "s", smallConfig());
     net::UltranetFabric ring(eq, "ring");
     net::ClientModel nic(eq, "c0");
-    RaidFileClient lib(eq, srv, nic, ring,
-                       RaidFileClient::Config{});
+    server::RequestScheduler sched(eq, srv);
+    RaidFileClient::Config ccfg;
+    ccfg.scheduler = &sched;
+    RaidFileClient lib(eq, srv, nic, ring, ccfg);
 
     RaidFileClient::Handle h = RaidFileClient::invalidHandle;
     lib.raidOpen("/f", true, [&](const RaidFileClient::Result &r) {

@@ -18,6 +18,7 @@
 #include "server/file_protocol.hh"
 #include "server/raid1_server.hh"
 #include "server/raid2_server.hh"
+#include "server/request_scheduler.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "workload/generators.hh"
@@ -200,8 +201,11 @@ TEST(Integration, ConcurrentClientsShareTheServer)
     Raid2Server srv(eq, "s", cfg16());
     net::UltranetFabric ring(eq, "u");
     net::ClientModel c1(eq, "c1"), c2(eq, "c2");
-    server::RaidFileClient lib1(eq, srv, c1, ring);
-    server::RaidFileClient lib2(eq, srv, c2, ring);
+    server::RequestScheduler sched(eq, srv);
+    server::RaidFileClient::Config ccfg;
+    ccfg.scheduler = &sched;
+    server::RaidFileClient lib1(eq, srv, c1, ring, ccfg);
+    server::RaidFileClient lib2(eq, srv, c2, ring, ccfg);
 
     const auto ino = srv.createFile("/shared");
     std::vector<std::uint8_t> data(8 * sim::MB, 0x1);

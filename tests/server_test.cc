@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "net/client_model.hh"
@@ -325,14 +326,28 @@ TEST(Raid1Server, WritesComplete)
     EXPECT_TRUE(done);
 }
 
-TEST(FileProtocol, OpenReadWriteRoundTrip)
+/** One RaidFileClient over a default front end on a small server. */
+class FileProtocol : public ::testing::Test
 {
+  protected:
     sim::EventQueue eq;
-    Raid2Server srv(eq, "s", smallConfig(true));
-    net::UltranetFabric ring(eq, "u");
-    net::ClientModel client(eq, "c");
-    server::RaidFileClient lib(eq, srv, client, ring);
+    Raid2Server srv{eq, "s", smallConfig(true)};
+    net::UltranetFabric ring{eq, "u"};
+    net::ClientModel client{eq, "c"};
+    server::RequestScheduler sched{eq, srv};
+    server::RaidFileClient lib{eq, srv, client, ring, clientConfig()};
 
+    server::RaidFileClient::Config
+    clientConfig()
+    {
+        server::RaidFileClient::Config c;
+        c.scheduler = &sched;
+        return c;
+    }
+};
+
+TEST_F(FileProtocol, OpenReadWriteRoundTrip)
+{
     using Result = server::RaidFileClient::Result;
     using Status = server::RaidFileClient::Status;
     server::RaidFileClient::Handle h = 0;
@@ -365,14 +380,8 @@ TEST(FileProtocol, OpenReadWriteRoundTrip)
     EXPECT_EQ(lib.raidClose(h), Status::Ok);
 }
 
-TEST(FileProtocol, PositionalOpsLeaveCursorAlone)
+TEST_F(FileProtocol, PositionalOpsLeaveCursorAlone)
 {
-    sim::EventQueue eq;
-    Raid2Server srv(eq, "s", smallConfig(true));
-    net::UltranetFabric ring(eq, "u");
-    net::ClientModel client(eq, "c");
-    server::RaidFileClient lib(eq, srv, client, ring);
-
     using Result = server::RaidFileClient::Result;
     using Status = server::RaidFileClient::Status;
     server::RaidFileClient::Handle h = 0;
@@ -408,14 +417,8 @@ TEST(FileProtocol, PositionalOpsLeaveCursorAlone)
     EXPECT_EQ(lib.position(h).value(), 0u);
 }
 
-TEST(FileProtocol, ReadPastEofReturnsShort)
+TEST_F(FileProtocol, ReadPastEofReturnsShort)
 {
-    sim::EventQueue eq;
-    Raid2Server srv(eq, "s", smallConfig(true));
-    net::UltranetFabric ring(eq, "u");
-    net::ClientModel client(eq, "c");
-    server::RaidFileClient lib(eq, srv, client, ring);
-
     const auto ino = srv.createFile("/tiny");
     std::vector<std::uint8_t> d(100, 1);
     srv.fs().write(ino, 0, {d.data(), d.size()});
@@ -443,14 +446,8 @@ TEST(FileProtocol, ReadPastEofReturnsShort)
     EXPECT_EQ(got, 100u);
 }
 
-TEST(FileProtocol, OpenMissingFileReportsNotFound)
+TEST_F(FileProtocol, OpenMissingFileReportsNotFound)
 {
-    sim::EventQueue eq;
-    Raid2Server srv(eq, "s", smallConfig(true));
-    net::UltranetFabric ring(eq, "u");
-    net::ClientModel client(eq, "c");
-    server::RaidFileClient lib(eq, srv, client, ring);
-
     using Result = server::RaidFileClient::Result;
     using Status = server::RaidFileClient::Status;
     bool finished = false;
@@ -464,14 +461,8 @@ TEST(FileProtocol, OpenMissingFileReportsNotFound)
     EXPECT_TRUE(finished);
 }
 
-TEST(FileProtocol, ClosedHandleReportsBadHandle)
+TEST_F(FileProtocol, ClosedHandleReportsBadHandle)
 {
-    sim::EventQueue eq;
-    Raid2Server srv(eq, "s", smallConfig(true));
-    net::UltranetFabric ring(eq, "u");
-    net::ClientModel client(eq, "c");
-    server::RaidFileClient lib(eq, srv, client, ring);
-
     using Result = server::RaidFileClient::Result;
     using Status = server::RaidFileClient::Status;
     srv.createFile("/f");
@@ -495,14 +486,8 @@ TEST(FileProtocol, ClosedHandleReportsBadHandle)
     EXPECT_EQ(finished, 2);
 }
 
-TEST(FileProtocol, SeekAndPositionOnBadHandleDontDie)
+TEST_F(FileProtocol, SeekAndPositionOnBadHandleDontDie)
 {
-    sim::EventQueue eq;
-    Raid2Server srv(eq, "s", smallConfig(true));
-    net::UltranetFabric ring(eq, "u");
-    net::ClientModel client(eq, "c");
-    server::RaidFileClient lib(eq, srv, client, ring);
-
     using Result = server::RaidFileClient::Result;
     using Status = server::RaidFileClient::Status;
 
@@ -525,6 +510,53 @@ TEST(FileProtocol, SeekAndPositionOnBadHandleDontDie)
     });
     eq.runUntilDone([&] { return finished; });
     EXPECT_TRUE(finished);
+}
+
+// Result::cls is the class the front end scheduled the op under: an
+// open, and reads and writes on both sides of the small-op threshold,
+// each bump exactly the completion counter of the class they report,
+// and that class follows §2.1.1 (len <= smallOpBytes is Standard).
+TEST_F(FileProtocol, ResultClassFollowsScheduler)
+{
+    using Cls = server::RequestScheduler::ServiceClass;
+    using Result = server::RaidFileClient::Result;
+
+    // Run one op to completion; return its Result after checking it
+    // against the counter it bumped.
+    auto run = [&](Cls want, auto issue) {
+        const std::uint64_t fast0 = sched.completed(Cls::FastPath);
+        const std::uint64_t std0 = sched.completed(Cls::Standard);
+        std::optional<Result> got;
+        issue([&](const Result &r) { got = r; });
+        eq.runUntilDone([&] { return got.has_value(); });
+        EXPECT_TRUE(got && got->ok());
+        const std::uint64_t fast = sched.completed(Cls::FastPath) - fast0;
+        const std::uint64_t std_ = sched.completed(Cls::Standard) - std0;
+        EXPECT_EQ(fast + std_, 1u);
+        const Cls bumped = fast ? Cls::FastPath : Cls::Standard;
+        EXPECT_EQ(got->cls, bumped);
+        EXPECT_EQ(got->cls, want);
+        return *got;
+    };
+
+    const Result open = run(Cls::Standard, [&](auto done) {
+        lib.raidOpen("/cls", true, done);
+    });
+    const auto h = open.handle;
+    const std::uint64_t small = sched.config().smallOpBytes;
+    for (const std::uint64_t len : {small - 1, small, small + 1}) {
+        const Cls want = len <= small ? Cls::Standard : Cls::FastPath;
+        SCOPED_TRACE(len);
+        run(want, [&](auto done) { lib.raidPWrite(h, 0, len, done); });
+        run(want, [&](auto done) { lib.raidPRead(h, 0, len, done); });
+    }
+}
+
+TEST_F(FileProtocol, RequiresAScheduler)
+{
+    EXPECT_DEATH(server::RaidFileClient(eq, srv, client, ring,
+                                        server::RaidFileClient::Config{}),
+                 "no RequestScheduler");
 }
 
 TEST(Raid2Server, RestoreRejectsSchedulerTrafficWithBusy)
